@@ -60,11 +60,14 @@ cat "$WORK/submit1.json"
 JOB="$(sed -n 's/.*"job":"\([^"]*\)".*/\1/p' "$WORK/submit1.json")"
 [ -n "$JOB" ] || { echo "submit returned no job id"; exit 1; }
 
-# Anchor the pattern on the absolute binary path so pgrep can only
-# match real serve-worker processes, never this script's own cmdline.
+# Only this daemon's own workers: the supervisor forks them straight
+# from the server, so -P "$SERVER_PID" keeps pgrep off the workers of
+# any other daemon running the same binary (obs_smoke, say), and the
+# pattern anchored on the absolute binary path keeps it off anything
+# else the server may have started.
 VICTIM=""
 for _ in $(seq 1 100); do
-    VICTIM="$(pgrep -f "^$CLI serve-worker" | head -1 || true)"
+    VICTIM="$(pgrep -P "$SERVER_PID" -f "^$CLI serve-worker" | head -1 || true)"
     [ -n "$VICTIM" ] && break
     sleep 0.1
 done

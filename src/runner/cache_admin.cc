@@ -1,7 +1,5 @@
 #include "runner/cache_admin.hh"
 
-#include <fcntl.h>
-#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -72,48 +70,6 @@ fileBytes(const std::string &path)
     const auto bytes = std::filesystem::file_size(path, ec);
     return ec ? 0 : bytes;
 }
-
-/**
- * RAII exclusive flock on a store file — the same lock ResultStore
- * appenders take around each write(2).  Held across a rewriter's
- * whole fold + temp + rename sequence, it guarantees (a) the fold
- * never reads a half-written line and (b) no appender writes to the
- * about-to-be-orphaned inode while the rename swings the name to the
- * new file: a blocked appender wakes up holding a lock on the old
- * inode, notices the path now names a different file, and reopens
- * (see ResultStore::insert).
- */
-class StoreLock
-{
-  public:
-    explicit StoreLock(const std::string &path)
-    {
-        const auto dir = std::filesystem::path(path).parent_path();
-        if (!dir.empty()) {
-            std::error_code ec;
-            std::filesystem::create_directories(dir, ec);
-        }
-        fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-        if (fd_ >= 0)
-            ::flock(fd_, LOCK_EX);
-    }
-
-    ~StoreLock()
-    {
-        if (fd_ >= 0) {
-            ::flock(fd_, LOCK_UN);
-            ::close(fd_);
-        }
-    }
-
-    StoreLock(const StoreLock &) = delete;
-    StoreLock &operator=(const StoreLock &) = delete;
-
-    bool held() const { return fd_ >= 0; }
-
-  private:
-    int fd_ = -1;
-};
 
 /**
  * Read `path` line by line, folding Good lines into `kept` with
@@ -232,7 +188,7 @@ mergeStores(const std::string &outPath,
     std::unordered_map<std::string, std::size_t> byHash;
     // The output store may have live appenders (it is the shared
     // result tier under `serve`), and may itself be one of the
-    // inputs: hold its writer lock across the whole fold + rewrite.
+    // inputs: hold its sidecar lock across the whole fold + rewrite.
     StoreLock lock(outPath);
     for (const auto &input : inputs)
         foldStore(input, /*dropOrphans=*/false, kept, byHash, stats);
@@ -254,8 +210,9 @@ compactStore(const std::string &path)
         return stats; // nothing on disk: an empty store is compact
     std::vector<ScannedLine> kept;
     std::unordered_map<std::string, std::size_t> byHash;
-    // Exclude concurrent appenders for the whole fold + rewrite, so
-    // no record lands on the inode the rename is about to orphan.
+    // Exclude concurrent appenders and rewriters for the whole fold +
+    // rewrite, so no record lands on the inode the rename is about to
+    // orphan.
     StoreLock lock(path);
     foldStore(path, /*dropOrphans=*/true, kept, byHash, stats);
     if (stats.filesRead == 0)

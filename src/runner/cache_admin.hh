@@ -12,10 +12,11 @@
  * same hexfloat round-trip guarantee the store itself makes.  Rewrites
  * go through a temp file in the destination directory followed by a
  * rename, so a crash mid-operation never corrupts the original, and
- * hold the destination store's writer flock for the whole fold +
- * rename so a concurrent appender can never write to the inode the
- * rename orphans (ResultStore::insert revalidates and reopens after
- * the lock).
+ * hold the destination store's sidecar lock (`<store>.lock`, see
+ * StoreLock in result_store.hh) for the whole fold + rename.
+ * ResultStore appenders take that same never-renamed lock around each
+ * open + append + close, so no append can land on the inode the
+ * rename orphans, and two rewriters of one store run one at a time.
  */
 
 #ifndef CRITICS_RUNNER_CACHE_ADMIN_HH

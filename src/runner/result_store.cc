@@ -2,7 +2,6 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -323,33 +322,45 @@ cacheDir()
     return ".critics-cache";
 }
 
+std::string
+storeLockPath(const std::string &path)
+{
+    return path + ".lock";
+}
+
+StoreLock::StoreLock(const std::string &storePath)
+{
+    const std::string lockPath = storeLockPath(storePath);
+    const auto dir = std::filesystem::path(lockPath).parent_path();
+    if (!dir.empty()) {
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+    }
+    fd_ = ::open(lockPath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (fd_ < 0)
+        return;
+    while (::flock(fd_, LOCK_EX) != 0) {
+        if (errno != EINTR) {
+            ::close(fd_);
+            fd_ = -1;
+            return;
+        }
+    }
+}
+
+StoreLock::~StoreLock()
+{
+    if (fd_ >= 0) {
+        ::flock(fd_, LOCK_UN);
+        ::close(fd_);
+    }
+}
+
 ResultStore::ResultStore(std::string path) : path_(std::move(path))
 {
     if (path_.empty())
         path_ = cacheDir() + "/results.jsonl";
     load();
-}
-
-ResultStore::~ResultStore()
-{
-    std::lock_guard<std::mutex> guard(lock_);
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-void
-ResultStore::openLocked()
-{
-    const auto dir = std::filesystem::path(path_).parent_path();
-    if (!dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(dir, ec);
-    }
-    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-    if (fd_ < 0) {
-        critics_warn("cannot open result cache ", path_,
-                     " for append; results will not persist");
-    }
 }
 
 void
@@ -443,9 +454,6 @@ ResultStore::insert(const std::string &hashHex, const std::string &spec,
                     const sim::RunResult &result)
 {
     std::lock_guard<std::mutex> guard(lock_);
-    if (fd_ < 0)
-        openLocked();
-
     const std::uint64_t now = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::seconds>(
             std::chrono::system_clock::now().time_since_epoch())
@@ -463,52 +471,36 @@ ResultStore::insert(const std::string &hashHex, const std::string &spec,
 
     entries_[hashHex] = Entry{spec, result};
     ++inserts_;
-    if (fd_ >= 0) {
-        // One record = one write(2) to an O_APPEND descriptor under
-        // an exclusive flock: concurrent writer processes (shards,
-        // parallel sweeps) serialize whole lines and can never
-        // interleave partial ones.  A crash mid-write leaves at most
-        // one truncated tail line, which loads skip.
-        ::flock(fd_, LOCK_EX);
-        // A cache rewriter (merge/compact/gc) holds this same lock
-        // across its temp+rename; if one ran while we were blocked,
-        // this descriptor now points at the orphaned old inode and
-        // the append would vanish with it.  Revalidate that the path
-        // still names our inode, reopening (and re-locking) if not.
-        for (int attempt = 0; attempt < 8 && fd_ >= 0; ++attempt) {
-            struct stat viaFd{}, viaPath{};
-            if (::fstat(fd_, &viaFd) != 0)
-                break;
-            if (::stat(path_.c_str(), &viaPath) == 0 &&
-                viaFd.st_dev == viaPath.st_dev &&
-                viaFd.st_ino == viaPath.st_ino) {
-                break; // still the live file
-            }
-            ::flock(fd_, LOCK_UN);
-            ::close(fd_);
-            fd_ = -1;
-            openLocked();
-            if (fd_ >= 0)
-                ::flock(fd_, LOCK_EX);
-        }
+
+    // Rewriters (merge/compact/gc) hold this same sidecar lock across
+    // their temp+rename, so while we hold it the path names the live
+    // file: open it afresh, append the record as one write(2) (whole
+    // lines never interleave with other writers'), close.  A crash
+    // mid-write leaves at most one truncated tail line, which loads
+    // skip.
+    StoreLock storeLock(path_);
+    const int fd = ::open(path_.c_str(),
+                          O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+    if (fd < 0) {
+        critics_warn("cannot open result cache ", path_,
+                     " for append; results will not persist");
+        return;
     }
-    if (fd_ >= 0) {
-        const char *data = record.data();
-        std::size_t left = record.size();
-        while (left > 0) {
-            const ssize_t wrote = ::write(fd_, data, left);
-            if (wrote <= 0) {
-                if (wrote < 0 && errno == EINTR)
-                    continue;
-                critics_warn("short write to result cache ", path_,
-                             "; record may be truncated");
-                break;
-            }
-            data += wrote;
-            left -= static_cast<std::size_t>(wrote);
+    const char *data = record.data();
+    std::size_t left = record.size();
+    while (left > 0) {
+        const ssize_t wrote = ::write(fd, data, left);
+        if (wrote <= 0) {
+            if (wrote < 0 && errno == EINTR)
+                continue;
+            critics_warn("short write to result cache ", path_,
+                         "; record may be truncated");
+            break;
         }
-        ::flock(fd_, LOCK_UN);
+        data += wrote;
+        left -= static_cast<std::size_t>(wrote);
     }
+    ::close(fd);
 }
 
 std::size_t
@@ -566,10 +558,10 @@ void
 ResultStore::clear()
 {
     std::lock_guard<std::mutex> guard(lock_);
-    if (fd_ >= 0) {
-        ::close(fd_);
-        fd_ = -1;
-    }
+    // The data file goes under the sidecar lock, like every other
+    // change to it; the sidecar itself stays, since removing it would
+    // let a concurrent holder keep locking a file no one else sees.
+    StoreLock storeLock(path_);
     std::error_code ec;
     std::filesystem::remove(path_, ec);
     entries_.clear();

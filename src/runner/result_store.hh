@@ -6,20 +6,23 @@
  * bit-exactly (doubles as hex-floats), so a warm run reproduces a cold
  * run's tables digit for digit.
  *
- * Multi-writer guarantee: each record is appended as a single write(2)
- * to an O_APPEND descriptor under an exclusive flock(), so any number
- * of processes (shards of one sweep, concurrent sweeps) may append to
- * the same file without ever interleaving partial lines — the kernel
- * serializes whole records.  The only non-atomic failure mode left is
- * a process dying mid-write, which leaves at most one truncated tail
- * line; loads skip it.  In-process, a mutex serializes appends across
- * the worker threads.
+ * Multi-writer guarantee: every writer of a store, appender or
+ * rewriter, takes an exclusive flock() on its sidecar `<store>.lock`
+ * (StoreLock).  That file is never renamed and never removed, so it
+ * is the one lock they all share.  An appender holding it opens the
+ * data path with O_APPEND, writes its record as a single write(2) and
+ * closes the file, so any number of processes (shards of one sweep,
+ * concurrent sweeps, serve workers) may append to the same store
+ * without ever interleaving partial lines.  The only non-atomic
+ * failure mode left is a process dying mid-write, which leaves at
+ * most one truncated tail line; loads skip it.  In-process, a mutex
+ * serializes appends across the worker threads.
  *
- * Cache rewriters (`cache merge/compact/gc`) hold the same flock
- * across their temp+rename replacement of the file; an appender that
- * wakes up holding a lock on the replaced inode detects the swap
- * (path no longer names its inode) and reopens before writing, so no
- * record is ever appended to an orphaned file.
+ * Cache rewriters (`cache merge/compact/gc`) hold the same sidecar
+ * lock across their fold + temp + rename replacement of the data
+ * file.  No rename can happen while an appender holds the lock, and
+ * the appender opens the path afresh for every record, so no record
+ * is ever appended to an orphaned file.
  */
 
 #ifndef CRITICS_RUNNER_RESULT_STORE_HH
@@ -79,12 +82,36 @@ struct ResultRecord
  */
 std::vector<ResultRecord> readResultRecords(const std::string &path);
 
+/** The sidecar lock file of the store at `path`: `<path>.lock`. */
+std::string storeLockPath(const std::string &path);
+
+/**
+ * RAII exclusive flock on a store's sidecar lock file, the one lock
+ * that ResultStore appenders and the cache rewriters share.  The
+ * sidecar is never renamed, and never removed while the store may
+ * have writers: a writer that locked a removed sidecar would exclude
+ * no one who opens the new one.  The descriptor is close-on-exec, so
+ * an exec'd child never keeps the lock.  If the sidecar cannot be
+ * opened (an unwritable directory) the caller proceeds unlocked.
+ */
+class StoreLock
+{
+  public:
+    explicit StoreLock(const std::string &storePath);
+    ~StoreLock();
+
+    StoreLock(const StoreLock &) = delete;
+    StoreLock &operator=(const StoreLock &) = delete;
+
+  private:
+    int fd_ = -1;
+};
+
 class ResultStore
 {
   public:
     /** Opens (and loads) `path`; "" means cacheDir()/results.jsonl. */
     explicit ResultStore(std::string path = "");
-    ~ResultStore();
 
     ResultStore(const ResultStore &) = delete;
     ResultStore &operator=(const ResultStore &) = delete;
@@ -103,9 +130,10 @@ class ResultStore
                                          const std::string &spec) const;
 
     /**
-     * Append one completed job as one flock-guarded O_APPEND write,
-     * so concurrent writer processes never tear each other's lines
-     * (see the file comment for the exact guarantee).
+     * Append one completed job as one O_APPEND write under the
+     * store's sidecar lock, so concurrent writer processes never tear
+     * each other's lines and never lose one to a rewrite (see the
+     * file comment for the exact guarantee).
      */
     void insert(const JobSpec &spec, const sim::RunResult &result);
 
@@ -131,7 +159,8 @@ class ResultStore
     void registerStats(stats::StatRegistry &reg,
                        const std::string &prefix) const;
 
-    /** Delete the backing file and forget all records. */
+    /** Delete the backing file and forget all records.  The sidecar
+     *  lock file stays (see StoreLock). */
     void clear();
 
     /** Drop the in-memory index and re-read the backing file — how a
@@ -141,7 +170,6 @@ class ResultStore
 
   private:
     void load();
-    void openLocked(); ///< open the append fd (caller holds lock_)
 
     struct Entry
     {
@@ -152,7 +180,6 @@ class ResultStore
     mutable std::mutex lock_;
     std::string path_;
     std::unordered_map<std::string, Entry> entries_;
-    int fd_ = -1; ///< lazily-opened O_APPEND descriptor
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t misses_ = 0;
     std::uint64_t inserts_ = 0;

@@ -17,6 +17,7 @@
 #include "obs/span.hh"
 #include "runner/cache_admin.hh"
 #include "runner/orchestrator.hh"
+#include "runner/result_store.hh"
 #include "runner/shard.hh"
 #include "serve/supervisor.hh"
 #include "sim/variants.hh"
@@ -781,7 +782,8 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
     }
 
     std::vector<std::vector<std::string>> argvs;
-    std::vector<std::string> scratch; // shard stores + hash files
+    std::vector<std::string> shardStores;
+    std::vector<std::string> hashFiles;
     for (unsigned k = 0; k < workers; ++k) {
         if (shards[k].empty())
             continue; // N > cold jobs: nothing to fork for this slot
@@ -798,8 +800,8 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
             for (const auto *spec : shards[k])
                 out << spec->hashHex() << "\n";
         }
-        scratch.push_back(shardStore);
-        scratch.push_back(hashesFile);
+        shardStores.push_back(shardStore);
+        hashFiles.push_back(hashesFile);
 
         std::vector<std::string> argv = {
             options_.workerExe,
@@ -902,8 +904,7 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
     // Fold every shard store back into the shared one so the next
     // submission of these specs is warm, then drop the scratch files.
     std::vector<std::string> inputs = {store_.path()};
-    for (std::size_t i = 0; i < scratch.size(); i += 2)
-        inputs.push_back(scratch[i]);
+    inputs.insert(inputs.end(), shardStores.begin(), shardStores.end());
     if (inputs.size() > 1) {
         if (!runner::mergeStores(store_.path(), inputs)) {
             critics_warn("serve: merging shard stores into ",
@@ -911,10 +912,15 @@ Server::runWithWorkers(const std::shared_ptr<Batch> &batch)
         }
         store_.reload();
     }
-    for (const auto &path : scratch) {
-        std::error_code ec;
+    // Every worker has exited, so no one can hold or wait on a shard
+    // store's sidecar lock any more: it goes with its store.
+    std::error_code ec;
+    for (const auto &path : shardStores) {
         std::filesystem::remove(path, ec);
+        std::filesystem::remove(runner::storeLockPath(path), ec);
     }
+    for (const auto &path : hashFiles)
+        std::filesystem::remove(path, ec);
 
     // Anything not accounted for by an event belongs to a worker that
     // burned through its restart budget: a failed-job record, not a

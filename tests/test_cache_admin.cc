@@ -49,6 +49,7 @@ class TempPath
     {
         std::error_code ec;
         std::filesystem::remove_all(path_, ec);
+        std::filesystem::remove(storeLockPath(path_), ec);
     }
 
     const std::string &str() const { return path_; }
@@ -235,8 +236,8 @@ TEST(ResultStore, AppendSurvivesConcurrentRewrite)
 {
     // The deterministic half of the gc-race fix: an open store whose
     // backing file gets replaced under it (gc's temp+rename) must
-    // notice the swap on its next insert and append to the new file,
-    // not the orphaned old inode.
+    // append its next record to the new file, not the orphaned old
+    // inode: each insert opens the path afresh under the sidecar lock.
     TempPath file("critics-store-rewrite");
     ResultStore store(file.str());
     store.insert(tinySpec(1), sampleResult(1.0)); // fd now cached
@@ -253,9 +254,10 @@ TEST(ResultStore, AppendSurvivesConcurrentRewrite)
 TEST(CacheGcRace, ForkedWritersNeverLoseRecordsAcrossGc)
 {
     // The probabilistic half: writer processes appending while the
-    // parent gc's the store in a loop.  gc holds the writer flock
-    // across its fold + temp + rename, and a writer waking up on the
-    // replaced inode reopens, so every append must survive.
+    // parent gc's the store in a loop.  gc holds the store's sidecar
+    // lock across its fold + temp + rename, and a writer opens the
+    // path only while holding that same lock, so every append must
+    // survive.
     TempPath file("critics-store-gc-race");
     constexpr int kWriters = 3;
     constexpr int kRecords = 24;

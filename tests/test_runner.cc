@@ -43,6 +43,7 @@ class TempPath
     {
         std::error_code ec;
         std::filesystem::remove_all(path_, ec);
+        std::filesystem::remove(storeLockPath(path_), ec);
     }
 
     const std::string &str() const { return path_; }
