@@ -46,6 +46,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -56,7 +57,6 @@
 
 #include "analysis/criticality.hh"
 #include "analysis/miner.hh"
-#include "analysis/mode.hh"
 #include "obs/obs.hh"
 #include "obs/profiler.hh"
 #include "program/emit.hh"
@@ -77,6 +77,7 @@
 #include "stats/trace_event.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 #include "verify/trace_check.hh"
 #include "verify/verify.hh"
@@ -92,6 +93,33 @@ namespace
 using sim::parseApps;
 using sim::parseVariant;
 using sim::splitList;
+
+/** A flag's unsigned value in [0, max] (by default T's range); any
+ *  other text is a usage error that names the flag (exit 2). */
+template <typename T = std::uint64_t>
+T
+unsignedFlag(const std::string &flag, const std::string &text,
+             std::uint64_t max = std::numeric_limits<T>::max())
+{
+    const auto value = parseUnsigned(text, max);
+    if (!value) {
+        critics_fatal(flag, " wants an integer in [0, ", max, "], got '",
+                      text, "'");
+    }
+    return static_cast<T>(*value);
+}
+
+/** A flag's finite, non-negative decimal value (usage error if not). */
+double
+nonNegativeFlag(const std::string &flag, const std::string &text)
+{
+    const auto value = parseNonNegative(text);
+    if (!value) {
+        critics_fatal(flag, " wants a non-negative number, got '", text,
+                      "'");
+    }
+    return *value;
+}
 
 int
 usage()
@@ -303,9 +331,9 @@ cmdDiff(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--rel") {
-            opt.relThreshold = std::stod(next());
+            opt.relThreshold = nonNegativeFlag(arg, next());
         } else if (arg == "--abs") {
-            opt.absThreshold = std::stod(next());
+            opt.absThreshold = nonNegativeFlag(arg, next());
         } else if (arg == "--store") {
             storePath = next();
         } else if (!arg.empty() && arg[0] == '-') {
@@ -405,9 +433,9 @@ cmdLint(int argc, char **argv)
         } else if (arg == "--variants") {
             variantsArg = next();
         } else if (arg == "--insts") {
-            insts = std::stoull(next());
+            insts = unsignedFlag(arg, next(), program::kMaxTraceInsts);
         } else if (arg == "--min-run") {
-            minRun = static_cast<unsigned>(std::stoul(next()));
+            minRun = unsignedFlag<unsigned>(arg, next());
         } else if (arg == "--trace") {
             withTrace = true;
         } else if (arg == "--out") {
@@ -608,9 +636,9 @@ cmdBench(int argc, char **argv)
         } else if (arg == "--variants") {
             variantsArg = next();
         } else if (arg == "--insts") {
-            insts = std::stoull(next());
+            insts = unsignedFlag(arg, next(), program::kMaxTraceInsts);
         } else if (arg == "--reps") {
-            reps = static_cast<unsigned>(std::stoul(next()));
+            reps = unsignedFlag<unsigned>(arg, next());
         } else if (arg == "--label") {
             label = next();
         } else if (arg == "--out") {
@@ -695,15 +723,11 @@ cmdBench(int argc, char **argv)
                     exp->baseTrace(), expOptions.crit);
                 const auto chains = analysis::extractChains(
                     exp->baseTrace(), fanout, expOptions.crit);
-                const analysis::LocTable *locs =
-                    analysis::flatAnalyzeEnabled()
-                        ? &exp->locTable() : nullptr;
-                const auto mined = analysis::mineCritIcs(
-                    exp->baseTrace(), exp->baseProgram(), chains,
-                    fanout, expOptions.crit,
-                    expOptions.profileFraction, locs);
-                critics_assert(!mined.chains.empty() || true,
-                               "unused");
+                analysis::mineCritIcs(exp->baseTrace(),
+                                      exp->baseProgram(), chains, fanout,
+                                      expOptions.crit,
+                                      expOptions.profileFraction,
+                                      &exp->locTable());
             }
         }
         analyzeStage.instsPerSec.push_back(
@@ -838,8 +862,6 @@ cmdBench(int argc, char **argv)
     w.field("label", label);
     w.field("git", runner::gitDescribe());
     w.field("quick", quick);
-    w.field("analyzePath",
-            analysis::flatAnalyzeEnabled() ? "flat" : "legacy");
     w.field("apps", appsArg);
     w.field("variants", variantsArg);
     w.field("insts", insts);
@@ -942,7 +964,7 @@ cmdRun(int argc, char **argv)
         } else if (arg == "--variants") {
             variantsArg = next();
         } else if (arg == "--insts") {
-            insts = std::stoull(next());
+            insts = unsignedFlag(arg, next(), program::kMaxTraceInsts);
         } else if (arg == "--batch") {
             batchName = next();
         } else if (arg == "--no-cache") {
@@ -962,7 +984,7 @@ cmdRun(int argc, char **argv)
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--stats-interval") {
-            statsInterval = std::stoull(next());
+            statsInterval = unsignedFlag(arg, next());
         } else if (arg == "--stats-out") {
             statsOut = next();
         } else if (arg == "--trace-out") {
@@ -975,8 +997,8 @@ cmdRun(int argc, char **argv)
     }
 
     const auto apps = parseApps(appsArg);
-    // `all` expands to every variant, as in lint — the analyze-drift
-    // CI sweep runs the complete matrix.
+    // `all` expands to every variant, as in lint, so a zero-drift
+    // sweep can run the complete matrix.
     std::vector<std::string> variantNames;
     if (variantsArg == "all")
         variantNames = sim::allVariantNames();
@@ -1016,11 +1038,13 @@ cmdRun(int argc, char **argv)
 
     // Interval sampling rides the executor: each simulated job runs
     // with its own series (cache hits never execute, so they produce
-    // no rows) and appends its JSONL under the batch lock.
+    // no rows) and files its JSONL under its label.  The rows are
+    // written in grid order after the batch, so the file does not
+    // depend on which job finished first.
     std::mutex statsLock;
-    std::string statsJsonl;
+    std::map<std::string, std::string> statsByLabel;
     if (statsInterval > 0) {
-        options.executor = [&statsLock, &statsJsonl, statsInterval](
+        options.executor = [&statsLock, &statsByLabel, statsInterval](
                                const runner::JobSpec &spec,
                                sim::AppExperiment &experiment) {
             sim::RunHooks hooks;
@@ -1028,9 +1052,10 @@ cmdRun(int argc, char **argv)
             hooks.statsInterval = statsInterval;
             hooks.intervals = &series;
             auto result = experiment.run(spec.variant, hooks);
+            const std::string label =
+                spec.profile.name + "/" + spec.variant.label;
             std::lock_guard<std::mutex> guard(statsLock);
-            statsJsonl += series.toJsonl(spec.profile.name + "/" +
-                                         spec.variant.label);
+            statsByLabel[label] = series.toJsonl(label);
             return result;
         };
     }
@@ -1107,6 +1132,15 @@ cmdRun(int argc, char **argv)
     if (!batch.manifestPath.empty())
         std::printf("manifest: %s\n", batch.manifestPath.c_str());
     if (statsInterval > 0) {
+        std::string statsJsonl;
+        for (const auto &job : batch.jobs) {
+            const auto it = statsByLabel.find(job.profile.name + "/" +
+                                              job.variant.label);
+            if (it != statsByLabel.end()) {
+                statsJsonl += it->second;
+                statsByLabel.erase(it); // a repeated label writes once
+            }
+        }
         if (statsJsonl.empty()) {
             std::printf("stats: no interval rows (every job came from "
                         "the cache; use --refresh)\n");
@@ -1172,39 +1206,28 @@ cmdReport(int argc, char **argv)
     return 0;
 }
 
-/** "900", "900s", "15m", "12h" or "30d" → seconds. */
+/** A flag's unsigned value with an optional unit suffix, scaled to
+ *  the base unit; junk or a product past 2^64 is a usage error. */
 std::uint64_t
-parseDuration(const std::string &text)
+scaledFlag(const std::string &flag, const std::string &text,
+           std::initializer_list<std::pair<char, std::uint64_t>> units)
 {
-    if (text.empty())
-        critics_fatal("empty duration");
+    std::string_view digits = text;
     std::uint64_t scale = 1;
-    std::string digits = text;
-    switch (text.back()) {
-      case 'd': scale = 86400; digits.pop_back(); break;
-      case 'h': scale = 3600; digits.pop_back(); break;
-      case 'm': scale = 60; digits.pop_back(); break;
-      case 's': scale = 1; digits.pop_back(); break;
-      default: break;
+    for (const auto &[suffix, factor] : units) {
+        if (!digits.empty() && digits.back() == suffix) {
+            digits.remove_suffix(1);
+            scale = factor;
+            break;
+        }
     }
-    return std::stoull(digits) * scale;
-}
-
-/** "65536", "512K", "512M" or "2G" → bytes. */
-std::uintmax_t
-parseBytes(const std::string &text)
-{
-    if (text.empty())
-        critics_fatal("empty size");
-    std::uintmax_t scale = 1;
-    std::string digits = text;
-    switch (text.back()) {
-      case 'K': case 'k': scale = 1024ull; digits.pop_back(); break;
-      case 'M': case 'm': scale = 1024ull << 10; digits.pop_back(); break;
-      case 'G': case 'g': scale = 1024ull << 20; digits.pop_back(); break;
-      default: break;
+    const auto value = parseUnsigned(
+        digits, std::numeric_limits<std::uint64_t>::max() / scale);
+    if (!value) {
+        critics_fatal(flag, " wants an integer with an optional unit, "
+                      "got '", text, "'");
     }
-    return std::stoull(digits) * scale;
+    return *value * scale;
 }
 
 int
@@ -1260,9 +1283,16 @@ cmdCacheGc(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--max-age") {
-            opt.maxAgeSeconds = parseDuration(next());
+            // "900", "900s", "15m", "12h" or "30d" → seconds.
+            opt.maxAgeSeconds = scaledFlag(
+                arg, next(), {{'d', 86400}, {'h', 3600}, {'m', 60},
+                              {'s', 1}});
         } else if (arg == "--max-bytes") {
-            opt.maxBytes = parseBytes(next());
+            // "65536", "512K", "512M" or "2G" → bytes.
+            opt.maxBytes = scaledFlag(
+                arg, next(), {{'K', 1ull << 10}, {'k', 1ull << 10},
+                              {'M', 1ull << 20}, {'m', 1ull << 20},
+                              {'G', 1ull << 30}, {'g', 1ull << 30}});
         } else if (!arg.empty() && arg[0] == '-') {
             return usage();
         } else {
@@ -1364,12 +1394,14 @@ unsigned short
 resolvePort(const std::string &portArg, const std::string &portFile)
 {
     if (!portArg.empty())
-        return static_cast<unsigned short>(std::stoul(portArg));
+        return unsignedFlag<unsigned short>("--port", portArg);
     if (!portFile.empty()) {
         std::ifstream in(portFile);
-        unsigned port = 0;
-        if (in >> port)
-            return static_cast<unsigned short>(port);
+        std::string text;
+        if (in >> text) {
+            if (const auto port = parseUnsigned(text, 65535))
+                return static_cast<unsigned short>(*port);
+        }
     }
     return 0;
 }
@@ -1450,19 +1482,15 @@ cmdServe(int argc, char **argv)
         if (arg == "--host") {
             options.host = next();
         } else if (arg == "--port") {
-            options.port =
-                static_cast<unsigned short>(std::stoul(next()));
+            options.port = unsignedFlag<unsigned short>(arg, next());
         } else if (arg == "--port-file") {
             options.portFile = next();
         } else if (arg == "--workers") {
-            options.workers =
-                static_cast<unsigned>(std::stoul(next()));
+            options.workers = unsignedFlag<unsigned>(arg, next());
         } else if (arg == "--max-restarts") {
-            options.maxRestarts =
-                static_cast<unsigned>(std::stoul(next()));
+            options.maxRestarts = unsignedFlag<unsigned>(arg, next());
         } else if (arg == "--attempts") {
-            options.maxAttempts =
-                static_cast<unsigned>(std::stoul(next()));
+            options.maxAttempts = unsignedFlag<unsigned>(arg, next());
         } else if (arg == "--cache-file") {
             options.cachePath = next();
         } else if (arg == "--trace-out") {
@@ -1548,13 +1576,14 @@ cmdSubmit(int argc, char **argv)
         } else if (arg == "--variants") {
             request.submit.variants = next();
         } else if (arg == "--insts") {
-            request.submit.insts = std::stoull(next());
+            request.submit.insts =
+                unsignedFlag(arg, next(), program::kMaxTraceInsts);
         } else if (arg == "--batch") {
             request.submit.batch = next();
         } else if (arg == "--refresh") {
             request.submit.refresh = true;
         } else if (arg == "--sleep-ms") {
-            request.submit.sleepMs = std::stoull(next());
+            request.submit.sleepMs = unsignedFlag(arg, next());
         } else if (arg == "--no-wait") {
             noWait = true;
         } else {
@@ -1721,7 +1750,7 @@ cmdTop(int argc, char **argv)
         } else if (arg == "--port-file") {
             portFile = next();
         } else if (arg == "--interval") {
-            interval = std::stod(next());
+            interval = nonNegativeFlag(arg, next());
         } else if (arg == "--once") {
             once = true;
         } else {
@@ -1825,7 +1854,7 @@ cmdProf(int argc, char **argv)
         if (arg == "--top") {
             if (i + 1 >= argc)
                 critics_fatal("--top needs a value");
-            topN = std::stoul(argv[++i]);
+            topN = unsignedFlag<std::size_t>(arg, argv[++i]);
         } else if (!arg.empty() && arg[0] == '-') {
             return usage();
         } else {
@@ -1870,11 +1899,11 @@ legacySingleRun(int argc, char **argv)
         } else if (arg == "--variant") {
             variantName = next();
         } else if (arg == "--insts") {
-            insts = std::stoull(next());
+            insts = unsignedFlag(arg, next(), program::kMaxTraceInsts);
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--stats-interval") {
-            statsInterval = std::stoull(next());
+            statsInterval = unsignedFlag(arg, next());
         } else if (arg == "--stats-out") {
             statsOut = next();
         } else if (arg == "--trace-out") {
@@ -1996,8 +2025,6 @@ main(int argc, char **argv)
     // instead of std::terminate.
     try {
         return run(argc, argv);
-    } catch (const std::invalid_argument &) {
-        std::fprintf(stderr, "error: malformed numeric argument\n");
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
     }

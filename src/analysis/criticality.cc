@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "analysis/mode.hh"
 #include "support/logging.hh"
 
 namespace critics::analysis
@@ -50,80 +49,20 @@ computeFanout(const Trace &trace, const CriticalityConfig &config)
 namespace
 {
 
-/** Adjacency of direct in-window consumers, flattened (legacy path). */
-struct Consumers
-{
-    std::vector<std::uint32_t> offsets; ///< n+1
-    std::vector<DynIdx> edges;
-};
-
-/** The flat path's consumer index: only extraction-eligible consumers
- *  (exactly one in-window producer) are stored, and since each has one
- *  producer the edges form a forest — a head/next intrusive list per
- *  producer instead of a counted CSR.  One trace sweep builds it: no
- *  counting pass, no prefix sum, and no saturation special case
- *  (fanout's 0xFFFF cap never matters because nothing is counted).
- *  The sweep runs backwards with prepend insertion, so each list comes
- *  out in ascending consumer-index order — the legacy bucket order,
- *  keeping tie-breaks unchanged — without needing a tail array. */
+/** The consumer index of chain extraction: only extraction-eligible
+ *  consumers (exactly one in-window producer) are stored, and since
+ *  each has one producer the edges form a forest — a head/next
+ *  intrusive list per producer instead of a counted CSR.  One trace
+ *  sweep builds it: no counting pass, no prefix sum, and no saturation
+ *  special case (fanout's 0xFFFF cap never matters because nothing is
+ *  counted).  The sweep runs backwards with prepend insertion, so each
+ *  list comes out in ascending consumer-index order, which fixes the
+ *  greedy tie-breaks, without needing a tail array. */
 struct EligibleForest
 {
     std::vector<DynIdx> head; ///< first eligible consumer, or NoDep
     std::vector<DynIdx> next; ///< per consumer: next sibling, or NoDep
 };
-
-/**
- * Build the consumer CSR and (optionally, flat path) the per-inst
- * in-window producer count (0, 1 or 2) in the same sweep, so the
- * self-containment test in chain extraction is one byte load instead
- * of re-deriving both deps' window checks per query.
- */
-Consumers
-buildConsumers(const Trace &trace, unsigned window,
-               std::vector<std::uint8_t> *producerCounts)
-{
-    const std::size_t n = trace.size();
-    Consumers c;
-    std::vector<std::uint32_t> counts(n + 1, 0);
-    const auto win = static_cast<DynIdx>(window);
-
-    auto inWindow = [&](DynIdx consumer, DynIdx producer) {
-        return producer != NoDep && consumer - producer <= win;
-    };
-
-    if (producerCounts != nullptr)
-        producerCounts->assign(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &d = trace.insts[i];
-        const auto idx = static_cast<DynIdx>(i);
-        std::uint8_t producers = 0;
-        if (inWindow(idx, d.dep0)) {
-            ++counts[d.dep0];
-            ++producers;
-        }
-        if (inWindow(idx, d.dep1) && d.dep1 != d.dep0) {
-            ++counts[d.dep1];
-            ++producers;
-        }
-        if (producerCounts != nullptr)
-            (*producerCounts)[i] = producers;
-    }
-    c.offsets.resize(n + 1, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        c.offsets[i + 1] = c.offsets[i] + counts[i];
-    c.edges.resize(c.offsets[n]);
-    std::vector<std::uint32_t> cursor(c.offsets.begin(),
-                                      c.offsets.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &d = trace.insts[i];
-        const auto idx = static_cast<DynIdx>(i);
-        if (inWindow(idx, d.dep0))
-            c.edges[cursor[d.dep0]++] = idx;
-        if (inWindow(idx, d.dep1) && d.dep1 != d.dep0)
-            c.edges[cursor[d.dep1]++] = idx;
-    }
-    return c;
-}
 
 EligibleForest
 buildEligibleForest(const Trace &trace, unsigned window)
@@ -148,143 +87,41 @@ buildEligibleForest(const Trace &trace, unsigned window)
     return f;
 }
 
-/** Number of in-window producers of instruction i (0, 1 or 2). */
-unsigned
-producerCount(const Trace &trace, DynIdx i, unsigned window)
-{
-    const auto &d = trace.insts[i];
-    const auto win = static_cast<DynIdx>(window);
-    unsigned count = 0;
-    if (d.dep0 != NoDep && i - d.dep0 <= win)
-        ++count;
-    if (d.dep1 != NoDep && d.dep1 != d.dep0 && i - d.dep1 <= win)
-        ++count;
-    return count;
-}
-
-/** The pre-overhaul extraction: re-walks every candidate's consumer
- *  list per greedy step (the lookahead makes that quadratic in the
- *  fanout of hot producers).  Kept one release behind
- *  CRITICS_FLAT_ANALYZE=off. */
-DynChains
-extractChainsLegacy(const Trace &trace, const FanoutInfo &fanout,
-                    const CriticalityConfig &config)
-{
-    const std::size_t n = trace.size();
-    const Consumers consumers =
-        buildConsumers(trace, config.window, nullptr);
-    std::vector<std::uint8_t> taken(n, 0);
-
-    DynChains result;
-    result.members.reserve(n);
-    result.offsets.reserve(n + 1);
-    result.offsets.push_back(0);
-    for (std::size_t start = 0; start < n; ++start) {
-        if (taken[start])
-            continue;
-        DynIdx cur = static_cast<DynIdx>(start);
-        result.members.push_back(cur);
-        taken[start] = 1;
-
-        while (true) {
-            // Greedy extension with one step of lookahead: among
-            // untaken consumers whose *only* in-window producer is
-            // `cur` (self-containment), pick the one with the best
-            // own-fanout plus downstream-fanout potential — the "look
-            // into the future" of Sec. III-A, which prefers a
-            // low-fanout link leading to a high-fanout instruction
-            // over a dead-end leaf.
-            auto lookahead = [&](DynIdx cand) {
-                std::uint32_t best = 0;
-                for (std::uint32_t e = consumers.offsets[cand];
-                     e < consumers.offsets[cand + 1]; ++e) {
-                    const DynIdx nxt = consumers.edges[e];
-                    if (taken[nxt])
-                        continue;
-                    if (producerCount(trace, nxt, config.window) != 1)
-                        continue;
-                    best = std::max(best, 1u + fanout.fanout[nxt]);
-                }
-                return best;
-            };
-            DynIdx best = NoDep;
-            double bestScore = 0.0;
-            for (std::uint32_t e = consumers.offsets[cur];
-                 e < consumers.offsets[cur + 1]; ++e) {
-                const DynIdx cand = consumers.edges[e];
-                if (taken[cand])
-                    continue;
-                if (producerCount(trace, cand, config.window) != 1)
-                    continue;
-                const double score = 1.0 + fanout.fanout[cand] +
-                    0.5 * lookahead(cand);
-                if (best == NoDep || score > bestScore) {
-                    best = cand;
-                    bestScore = score;
-                }
-            }
-            if (best == NoDep)
-                break;
-            result.members.push_back(best);
-            taken[best] = 1;
-            cur = best;
-        }
-        result.offsets.push_back(
-            static_cast<std::uint32_t>(result.members.size()));
-    }
-    return result;
-}
+} // namespace
 
 /**
- * The flat extraction (DESIGN.md §10): identical greedy decisions, but
- * the self-containment test is baked into the eligible-only forest
- * storage and the lookahead is memoized per candidate with a witness.
- * The cached value is the max over a shrinking set (taking instructions
- * only removes lookahead contributors), so as long as the witness —
- * the consumer that achieved the cached max — is still untaken, the
- * cached value is exact; only a taken witness forces a re-walk.
+ * Greedy extension with one step of lookahead (Sec. III-A): from the
+ * chain's tail, among untaken consumers whose only in-window producer
+ * is the tail (self-containment), take the one with the best score
+ * 1 + fanout(c) + 0.5 * max(1 + fanout(n)) over c's own eligible
+ * untaken consumers n — preferring a low-fanout link that leads to a
+ * high-fanout instruction over a dead-end leaf.  The first candidate in
+ * consumer-index order wins ties.
+ *
+ * The self-containment test is baked into the eligible-only forest,
+ * so each step walks only candidates.  tests/test_analyze_reference.cc
+ * checks these decisions against the pre-overhaul quadratic
+ * extraction.
  */
 DynChains
-extractChainsFlat(const Trace &trace, const FanoutInfo &fanout,
-                  const CriticalityConfig &config)
+extractChains(const Trace &trace, const FanoutInfo &fanout,
+              const CriticalityConfig &config)
 {
     const std::size_t n = trace.size();
     const EligibleForest forest =
         buildEligibleForest(trace, config.window);
     std::vector<std::uint8_t> taken(n, 0);
 
-    /** Memoized lookahead: value + the witness that achieved it.
-     *  wit == kNoMemo marks a never-computed entry; wit == NoDep a
-     *  computed entry whose candidate set was empty.  The cached value
-     *  is a max over a shrinking set (instructions only get taken), so
-     *  it stays exact while the witness is untaken. */
-    struct Look
-    {
-        std::uint32_t val;
-        DynIdx wit;
-    };
-    constexpr DynIdx kNoMemo = -2;
-    std::vector<Look> look(n, Look{0, kNoMemo});
-
+    // The lookahead of a candidate: the best 1 + fanout among its own
+    // eligible untaken consumers.  It needs no memo: a candidate is
+    // scored only in the one greedy step whose tail is its producer.
     auto lookahead = [&](DynIdx cand) {
-        Look &memo = look[cand];
-        if (memo.wit != kNoMemo &&
-            (memo.wit == NoDep || !taken[memo.wit])) {
-            return memo.val;
-        }
         std::uint32_t best = 0;
-        DynIdx witness = NoDep;
         for (DynIdx nxt = forest.head[cand]; nxt != NoDep;
              nxt = forest.next[nxt]) {
-            if (taken[nxt])
-                continue;
-            const std::uint32_t value = 1u + fanout.fanout[nxt];
-            if (value > best) {
-                best = value;
-                witness = nxt;
-            }
+            if (!taken[nxt])
+                best = std::max(best, 1u + fanout.fanout[nxt]);
         }
-        memo = {best, witness};
         return best;
     };
 
@@ -303,9 +140,8 @@ extractChainsFlat(const Trace &trace, const FanoutInfo &fanout,
             // With exactly one eligible consumer the greedy choice is
             // score-independent (the first eligible candidate always
             // seeds `best`), so the lookahead only runs on contested
-            // steps.  Scores are 2x the legacy double score — every
-            // term is an exactly-representable integer, so the
-            // comparisons order identically.
+            // steps.  Scores are kept doubled so every term is an
+            // integer.
             DynIdx only = NoDep;
             bool contested = false;
             for (DynIdx cand = forest.head[cur]; cand != NoDep;
@@ -346,17 +182,6 @@ extractChainsFlat(const Trace &trace, const FanoutInfo &fanout,
             static_cast<std::uint32_t>(result.members.size()));
     }
     return result;
-}
-
-} // namespace
-
-DynChains
-extractChains(const Trace &trace, const FanoutInfo &fanout,
-              const CriticalityConfig &config)
-{
-    return flatAnalyzeEnabled()
-        ? extractChainsFlat(trace, fanout, config)
-        : extractChainsLegacy(trace, fanout, config);
 }
 
 ChainStats

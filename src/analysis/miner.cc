@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "analysis/mode.hh"
 #include "support/logging.hh"
 #include "support/rng.hh"
 
@@ -21,25 +19,6 @@ namespace
 
 constexpr std::uint64_t kUidSeqSeed = 0x9E3779B97F4A7C15ULL;
 
-struct UidSeqHash
-{
-    std::size_t
-    operator()(const std::vector<InstUid> &seq) const
-    {
-        std::uint64_t h = kUidSeqSeed;
-        for (const InstUid uid : seq)
-            h = hashCombine(h, uid);
-        return static_cast<std::size_t>(h);
-    }
-};
-
-struct Agg
-{
-    std::uint64_t dynCount = 0;
-    std::uint64_t fanoutSum = 0;
-    std::vector<std::uint64_t> memberFanout;
-};
-
 bool
 directlyConvertible(const isa::OperandInfo &info)
 {
@@ -47,14 +26,13 @@ directlyConvertible(const isa::OperandInfo &info)
 }
 
 /**
- * The interned uid-sequence table of the flat miner (DESIGN.md §10).
+ * The interned uid-sequence table of the miner (DESIGN.md §10).
  * Every unique segment lives once in a shared arena; the open-addressed
  * slot array maps a precomputed hash to an entry holding the arena
  * span and its aggregates, and `memberFanoutSums` parallels the arena
  * so per-member sums need no per-entry vector.  Aggregating a segment
- * allocates nothing once the table is warm — the legacy path built a
- * `std::vector<InstUid>` key per qualifying segment just to probe an
- * unordered_map.
+ * allocates nothing once the table is warm: no per-segment key vector
+ * is built just to probe a hash map.
  */
 class SegmentTable
 {
@@ -139,8 +117,8 @@ class SegmentTable
 };
 
 /** Descending coverage, uid-lexicographic tie-break: a total order on
- *  unique chains, so both analyze paths emit the same sequence no
- *  matter what their aggregation table iterated like. */
+ *  unique chains, so the output never depends on the aggregation
+ *  table's iteration order. */
 void
 sortChains(std::vector<MinedChain> &chains)
 {
@@ -152,138 +130,22 @@ sortChains(std::vector<MinedChain> &chains)
               });
 }
 
-/** The pre-overhaul miner, kept one release behind
- *  CRITICS_FLAT_ANALYZE=off: per-segment key vectors into an
- *  unordered_map, per-step avg() recomputation in the trim loop, and a
- *  Program::locate hash probe per dynamic instruction. */
-MineResult
-mineCritIcsLegacy(const Trace &trace, const program::Program &prog,
-                  const DynChains &chains, const FanoutInfo &fanout,
-                  const CriticalityConfig &config, double profileFraction)
-{
-    MineResult result;
-    result.dynInsts = trace.size();
-    const auto cutoff = static_cast<DynIdx>(
-        static_cast<double>(trace.size()) *
-        std::clamp(profileFraction, 0.0, 1.0));
-
-    std::unordered_map<std::vector<InstUid>, Agg, UidSeqHash> table;
-
-    std::vector<InstUid> segment;
-    std::vector<DynIdx> segmentDyn;
-    for (const DynChains::ChainRef chain : chains) {
-        if (chain.empty() || chain.front() >= cutoff)
-            continue;
-
-        // Cut the dynamic chain into same-block segments with strictly
-        // increasing intra-block position and no repeated uids (a
-        // loop-carried chain revisits the same statics every iteration;
-        // each visit is its own segment).
-        segment.clear();
-        segmentDyn.clear();
-        std::uint32_t curFunc = ~0u, curBlock = ~0u;
-        std::uint32_t lastIndex = 0;
-
-        auto flush = [&]() {
-            // Any sub-path of an IC is an IC: trim low-fanout ends so
-            // the qualifying critical core is what gets aggregated
-            // (greedy chain extension appends low-fanout tails).
-            std::size_t lo = 0, hi = segment.size();
-            auto avg = [&]() {
-                std::uint64_t sum = 0;
-                for (std::size_t k = lo; k < hi; ++k)
-                    sum += fanout.fanout[segmentDyn[k]];
-                return static_cast<double>(sum) /
-                       static_cast<double>(hi - lo);
-            };
-            while (hi - lo > 2 && avg() < config.chainCritThreshold) {
-                if (fanout.fanout[segmentDyn[lo]] <=
-                    fanout.fanout[segmentDyn[hi - 1]]) {
-                    ++lo;
-                } else {
-                    --hi;
-                }
-            }
-            if (hi - lo >= 2) {
-                ++result.segmentsSeen;
-                const std::vector<InstUid> key(
-                    segment.begin() + static_cast<std::ptrdiff_t>(lo),
-                    segment.begin() + static_cast<std::ptrdiff_t>(hi));
-                Agg &agg = table[key];
-                ++agg.dynCount;
-                agg.memberFanout.resize(key.size(), 0);
-                for (std::size_t k = lo; k < hi; ++k) {
-                    agg.fanoutSum += fanout.fanout[segmentDyn[k]];
-                    agg.memberFanout[k - lo] +=
-                        fanout.fanout[segmentDyn[k]];
-                }
-            }
-            segment.clear();
-            segmentDyn.clear();
-        };
-
-        for (const DynIdx dyn : chain) {
-            const InstUid uid = trace.insts[dyn].staticUid;
-            const program::InstLoc &loc = prog.locate(uid);
-            const bool sameBlock =
-                loc.func == curFunc && loc.block == curBlock &&
-                loc.index > lastIndex;
-            if (!sameBlock)
-                flush();
-            segment.push_back(uid);
-            segmentDyn.push_back(dyn);
-            curFunc = loc.func;
-            curBlock = loc.block;
-            lastIndex = loc.index;
-        }
-        flush();
-    }
-
-    for (auto &[uids, agg] : table) {
-        const double avgFanout =
-            static_cast<double>(agg.fanoutSum) /
-            static_cast<double>(agg.dynCount * uids.size());
-        if (avgFanout < config.chainCritThreshold)
-            continue;
-        MinedChain chain;
-        chain.uids = uids;
-        chain.dynCount = agg.dynCount;
-        chain.avgFanout = avgFanout;
-        chain.memberFanout.reserve(uids.size());
-        for (const std::uint64_t sum : agg.memberFanout) {
-            chain.memberFanout.push_back(
-                static_cast<double>(sum) /
-                static_cast<double>(agg.dynCount));
-        }
-        chain.memberConvertible.reserve(uids.size());
-        bool allConvertible = true;
-        for (const InstUid uid : uids) {
-            const bool conv =
-                directlyConvertible(prog.instByUid(uid).arch);
-            chain.memberConvertible.push_back(conv ? 1 : 0);
-            allConvertible = allConvertible && conv;
-        }
-        chain.directlyConvertible = allConvertible;
-        result.chains.push_back(std::move(chain));
-    }
-    sortChains(result.chains);
-    return result;
-}
+} // namespace
 
 /**
- * The flat miner (DESIGN.md §10): identical statistics via
- *
- *  - a dense LocTable lookup per dynamic instruction instead of a
- *    Program::locate hash probe,
- *  - prefix sums over the segment's fanout so the trim loop costs
- *    O(len) total instead of recomputing avg() per step, and
- *  - the interned SegmentTable instead of vector-keyed hashing.
+ * Cut each profiled chain into same-block segments, trim their
+ * low-fanout ends, and aggregate the survivors by uid sequence
+ * (DESIGN.md §10).  Per dynamic instruction the location is a dense
+ * LocTable lookup; prefix sums over the segment's fanout make the trim
+ * loop O(len) in total; and the interned SegmentTable aggregates
+ * without allocating.  tests/test_analyze_reference.cc checks the
+ * statistics against the pre-overhaul miner.
  */
 MineResult
-mineCritIcsFlat(const Trace &trace, const program::Program &prog,
-                const DynChains &chains, const FanoutInfo &fanout,
-                const CriticalityConfig &config, double profileFraction,
-                const LocTable *locs)
+mineCritIcs(const Trace &trace, const program::Program &prog,
+            const DynChains &chains, const FanoutInfo &fanout,
+            const CriticalityConfig &config, double profileFraction,
+            const LocTable *locs)
 {
     std::optional<LocTable> ownLocs;
     if (locs == nullptr) {
@@ -305,16 +167,23 @@ mineCritIcsFlat(const Trace &trace, const program::Program &prog,
     for (const DynChains::ChainRef chain : chains) {
         // A single member can never form a >= 2-length segment, and
         // most chains are singletons: skip them before any location
-        // lookups.  (The legacy path walks them into an empty flush.)
+        // lookups.
         if (chain.size() < 2 || chain.front() >= cutoff)
             continue;
 
+        // Cut the dynamic chain into same-block segments with strictly
+        // increasing intra-block position and no repeated uids (a
+        // loop-carried chain revisits the same statics every iteration;
+        // each visit is its own segment).
         segment.clear();
         segmentDyn.clear();
         std::uint64_t curKey = ~0ull; // matches no packed location
         std::uint64_t lastIndex = 0;
 
         auto flush = [&]() {
+            // Any sub-path of an IC is an IC: trim low-fanout ends so
+            // the qualifying critical core is what gets aggregated
+            // (greedy chain extension appends low-fanout tails).
             std::size_t lo = 0, hi = segment.size();
             if (hi > 2) {
                 prefix.resize(hi + 1);
@@ -322,9 +191,8 @@ mineCritIcsFlat(const Trace &trace, const program::Program &prog,
                 for (std::size_t k = 0; k < hi; ++k)
                     prefix[k + 1] =
                         prefix[k] + fanout.fanout[segmentDyn[k]];
-                // Same decisions as the legacy avg() loop: the prefix
-                // difference is the identical uint64 sum, so the double
-                // division compares bit-identically.
+                // The prefix difference is the exact uint64 fanout sum
+                // of [lo, hi), so the average is computed once per step.
                 while (hi - lo > 2) {
                     const double avg =
                         static_cast<double>(prefix[hi] - prefix[lo]) /
@@ -408,8 +276,6 @@ mineCritIcsFlat(const Trace &trace, const program::Program &prog,
     return result;
 }
 
-} // namespace
-
 LocTable::LocTable(const program::Program &prog)
 {
     InstUid maxUid = 0;
@@ -448,19 +314,6 @@ LocTable::LocTable(const program::Program &prog)
             }
         }
     }
-}
-
-MineResult
-mineCritIcs(const Trace &trace, const program::Program &prog,
-            const DynChains &chains, const FanoutInfo &fanout,
-            const CriticalityConfig &config, double profileFraction,
-            const LocTable *locs)
-{
-    return flatAnalyzeEnabled()
-        ? mineCritIcsFlat(trace, prog, chains, fanout, config,
-                          profileFraction, locs)
-        : mineCritIcsLegacy(trace, prog, chains, fanout, config,
-                            profileFraction);
 }
 
 Selection

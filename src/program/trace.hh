@@ -16,6 +16,7 @@
 #define CRITICS_PROGRAM_TRACE_HH
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "isa/isa.hh"
@@ -27,6 +28,8 @@ namespace critics::program
 /** Index into Trace::insts; signed so -1 can mean "no producer". */
 using DynIdx = std::int32_t;
 constexpr DynIdx NoDep = -1;
+/** The most instructions a trace can hold: every position is a DynIdx. */
+constexpr std::uint64_t kMaxTraceInsts = std::numeric_limits<DynIdx>::max();
 
 /**
  * One executed instruction, packed to 28 bytes so the simulator's

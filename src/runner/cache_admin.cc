@@ -9,12 +9,15 @@
 #include <fstream>
 #include <unordered_map>
 
-#include "runner/json.hh"
 #include "runner/result_store.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace critics::runner
 {
+
+using json::JsonValue;
+using json::parseJson;
 
 namespace
 {

@@ -3,10 +3,12 @@
 #include <cstdio>
 #include <sstream>
 
-#include "runner/json.hh"
+#include "support/json.hh"
 
 namespace critics::runner
 {
+
+using json::hexFloat;
 
 namespace
 {

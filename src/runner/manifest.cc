@@ -6,11 +6,15 @@
 #include <fstream>
 #include <sstream>
 
-#include "runner/json.hh"
 #include "runner/result_store.hh"
+#include "support/json.hh"
 
 namespace critics::runner
 {
+
+using json::JsonValue;
+using json::JsonWriter;
+using json::parseJson;
 
 std::size_t
 RunManifest::cachedCount() const

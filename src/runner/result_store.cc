@@ -10,12 +10,16 @@
 #include <filesystem>
 #include <fstream>
 
-#include "runner/json.hh"
 #include "stats/registry.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace critics::runner
 {
+
+using json::JsonValue;
+using json::JsonWriter;
+using json::parseJson;
 
 namespace
 {

@@ -1,5 +1,6 @@
 #include "serve/protocol.hh"
 
+#include "program/trace.hh"
 #include "support/json.hh"
 
 namespace critics::serve
@@ -130,8 +131,10 @@ parseRequest(const std::string &line, std::string *error)
         }
         if (const auto *f = doc->find("insts")) {
             const auto v = f->asUint();
-            if (!v || *v == 0) {
-                fail(error, "\"insts\" must be a positive integer");
+            if (!v || *v == 0 || *v > program::kMaxTraceInsts) {
+                fail(error, "\"insts\" must be an integer in [1, " +
+                                std::to_string(program::kMaxTraceInsts) +
+                                "]");
                 return std::nullopt;
             }
             s.insts = *v;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -12,9 +13,11 @@
 #include "obs/obs.hh"
 #include "obs/profiler.hh"
 #include "obs/span.hh"
+#include "program/trace.hh"
 #include "runner/orchestrator.hh"
 #include "serve/protocol.hh"
 #include "sim/variants.hh"
+#include "support/parse.hh"
 
 namespace critics::serve
 {
@@ -80,15 +83,26 @@ serveWorkerMain(int argc, char **argv)
         } else if (arg == "--variants") {
             variantsArg = value;
         } else if (arg == "--insts") {
-            insts = std::stoull(value);
+            const auto parsed =
+                parseUnsigned(value, program::kMaxTraceInsts);
+            if (!parsed)
+                return bad("bad --insts '" + std::string(value) + "'");
+            insts = *parsed;
         } else if (arg == "--store") {
             storePath = value;
         } else if (arg == "--hashes") {
             hashesPath = value;
         } else if (arg == "--attempts") {
-            maxAttempts = static_cast<unsigned>(std::stoul(value));
+            const auto parsed =
+                parseUnsigned(value, std::numeric_limits<unsigned>::max());
+            if (!parsed)
+                return bad("bad --attempts '" + std::string(value) + "'");
+            maxAttempts = static_cast<unsigned>(*parsed);
         } else if (arg == "--sleep-ms") {
-            sleepMs = std::stoull(value);
+            const auto parsed = parseUnsigned(value);
+            if (!parsed)
+                return bad("bad --sleep-ms '" + std::string(value) + "'");
+            sleepMs = *parsed;
         } else if (arg == "--trace-id") {
             traceId = value;
         } else if (arg == "--profile") {

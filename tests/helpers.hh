@@ -98,6 +98,54 @@ serialChainTrace(std::size_t n, std::size_t loopInsts = 256)
     return trace;
 }
 
+/** Fig. 2-style trace: I0 feeds I1..I10; I10 feeds I11..I20; I20 feeds
+ *  I22 (via nothing) — a chain of high-fanout nodes with a low-fanout
+ *  link. */
+inline program::Trace
+fig2Trace()
+{
+    program::Trace t;
+    auto add = [&](program::DynIdx dep0, program::DynIdx dep1) {
+        const auto i = static_cast<std::uint32_t>(t.size());
+        t.insts.push_back(dyn(i, 0x10000 + 4 * i, OpClass::IntAlu,
+                              dep0, dep1));
+    };
+    add(program::NoDep, program::NoDep);   // I0
+    for (int k = 1; k <= 10; ++k)          // I1..I10 read I0
+        add(0, program::NoDep);
+    for (int k = 11; k <= 20; ++k)         // I11..I20 read I10
+        add(10, program::NoDep);
+    add(1, 11);                            // I21 reads I1 and I11
+    add(20, program::NoDep);               // I22 reads I20
+    for (int k = 0; k < 9; ++k)            // I23.. read I22
+        add(22, program::NoDep);
+    return t;
+}
+
+/** A single-block loop program containing one designed chain:
+ *  C1 (uid 1) -> link (uid 2) -> C2 (uid 3) with enough consumers for
+ *  both chain nodes to be high fanout. */
+inline Program
+chainLoopProgram()
+{
+    BasicBlock bb;
+    bb.insts.push_back(inst(0, OpClass::IntAlu, 6)); // filler def
+    bb.insts.push_back(inst(1, OpClass::IntAlu, 1));         // C1
+    bb.insts.push_back(inst(2, OpClass::IntAlu, 2, 1));      // link
+    bb.insts.push_back(inst(3, OpClass::IntAlu, 3, 2));      // C2
+    std::uint32_t uid = 4;
+    for (int c = 0; c < 12; ++c) // consumers of C1 and C2
+        bb.insts.push_back(inst(uid++, OpClass::IntAlu,
+                                static_cast<std::uint8_t>(8 + c % 3),
+                                1, 3));
+    StaticInst loop = inst(uid++, OpClass::Branch, isa::NoReg, 8);
+    loop.flow = program::FlowKind::CondBranch;
+    loop.targetBlock = 0;
+    loop.takenBias = 1.0f;
+    bb.insts.push_back(loop);
+    return makeProgram({bb});
+}
+
 } // namespace critics::test
 
 #endif // CRITICS_TESTS_HELPERS_HH

@@ -1,111 +1,20 @@
 /**
  * @file
- * Criticality-analysis tests: fanout computation, IC extraction on
- * hand-built DFGs (including the paper's Fig. 2 example), chain
- * statistics and the PC-indexed criticality table.  Extraction tests
- * run against both analyze paths (flat and the CRITICS_FLAT_ANALYZE=off
- * legacy escape hatch) and the golden partitions pin both to the same
- * semantics.
+ * Criticality-analysis tests: fanout computation on hand-built DFGs
+ * (including the paper's Fig. 2 example) and the PC-indexed criticality
+ * table.  IC extraction's golden partitions and chain statistics live
+ * in test_analyze_reference.cc, which pins the library and the
+ * pre-overhaul reference extraction to the same values.
  */
 
 #include <gtest/gtest.h>
 
 #include "analysis/criticality.hh"
-#include "analysis/mode.hh"
 #include "helpers.hh"
 
 using namespace critics;
 using namespace critics::test;
 using analysis::CriticalityConfig;
-using analysis::DynChains;
-
-namespace
-{
-
-/** Fig. 2-style trace: I0 feeds I1..I10; I10 feeds I11..I20; I20 feeds
- *  I22 (via nothing) — a chain of high-fanout nodes with a low-fanout
- *  link. */
-program::Trace
-fig2Trace()
-{
-    program::Trace t;
-    auto add = [&](program::DynIdx dep0, program::DynIdx dep1) {
-        const auto i = static_cast<std::uint32_t>(t.size());
-        t.insts.push_back(dyn(i, 0x10000 + 4 * i, OpClass::IntAlu,
-                              dep0, dep1));
-    };
-    add(program::NoDep, program::NoDep);   // I0
-    for (int k = 1; k <= 10; ++k)          // I1..I10 read I0
-        add(0, program::NoDep);
-    for (int k = 11; k <= 20; ++k)         // I11..I20 read I10
-        add(10, program::NoDep);
-    add(1, 11);                            // I21 reads I1 and I11
-    add(20, program::NoDep);               // I22 reads I20
-    for (int k = 0; k < 9; ++k)            // I23.. read I22
-        add(22, program::NoDep);
-    return t;
-}
-
-/** A deterministic pseudo-random dependence trace for path-parity
- *  checks (no Rng dependence; a plain LCG is plenty). */
-program::Trace
-scrambledTrace(std::size_t n)
-{
-    program::Trace t;
-    std::uint64_t state = 0x2545F4914F6CDD1DULL;
-    auto next = [&]() {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        return static_cast<std::uint32_t>(state >> 33);
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-        program::DynIdx dep0 = program::NoDep;
-        program::DynIdx dep1 = program::NoDep;
-        if (i > 0 && next() % 4 != 0)
-            dep0 = static_cast<program::DynIdx>(next() % i);
-        if (i > 0 && next() % 3 == 0)
-            dep1 = static_cast<program::DynIdx>(next() % i);
-        t.insts.push_back(dyn(static_cast<std::uint32_t>(i % 97),
-                              0x10000 + 4 * static_cast<std::uint32_t>(i),
-                              OpClass::IntAlu, dep0, dep1));
-    }
-    return t;
-}
-
-/** Run a callable under a forced analyze path, restoring after. */
-template <typename Fn>
-auto
-withAnalyzePath(bool flat, Fn &&fn)
-{
-    const bool prev = analysis::flatAnalyzeEnabled();
-    analysis::setFlatAnalyze(flat);
-    auto result = fn();
-    analysis::setFlatAnalyze(prev);
-    return result;
-}
-
-} // namespace
-
-/** Both analyze paths; GetParam() == true selects flat. */
-class AnalyzePath : public ::testing::TestWithParam<bool>
-{
-  protected:
-    void
-    SetUp() override
-    {
-        prev_ = analysis::flatAnalyzeEnabled();
-        analysis::setFlatAnalyze(GetParam());
-    }
-
-    void TearDown() override { analysis::setFlatAnalyze(prev_); }
-
-  private:
-    bool prev_ = true;
-};
-
-INSTANTIATE_TEST_SUITE_P(Paths, AnalyzePath, ::testing::Bool(),
-                         [](const auto &info) {
-                             return info.param ? "flat" : "legacy";
-                         });
 
 TEST(Fanout, CountsDirectConsumers)
 {
@@ -185,114 +94,6 @@ TEST(Fanout, SingleDepSaturatesAtCap)
     cfg.window = 1u << 20;
     const auto info = analysis::computeFanout(t, cfg);
     EXPECT_EQ(info.fanout[0], 0xFFFF);
-}
-
-TEST_P(AnalyzePath, ExtractsTheCriticalChain)
-{
-    const auto trace = fig2Trace();
-    CriticalityConfig cfg;
-    const auto info = analysis::computeFanout(trace, cfg);
-    const auto chains = analysis::extractChains(trace, info, cfg);
-
-    // Every instruction appears in exactly one chain.
-    std::vector<int> seen(trace.size(), 0);
-    for (const DynChains::ChainRef chain : chains)
-        for (const auto idx : chain)
-            ++seen[idx];
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(seen[i], 1) << "dyn " << i;
-
-    // The chain from I0 must run through I10 (the best future critical)
-    // and continue via I20 to I22.
-    ASSERT_GT(chains.size(), 0u);
-    DynChains::ChainRef chain0 = chains[0];
-    for (const DynChains::ChainRef chain : chains)
-        if (chain.front() == 0)
-            chain0 = chain;
-    ASSERT_GE(chain0.size(), 4u);
-    EXPECT_EQ(chain0[0], 0);
-    EXPECT_EQ(chain0[1], 10);
-    EXPECT_EQ(chain0[2], 20);
-    EXPECT_EQ(chain0[3], 22);
-}
-
-TEST_P(AnalyzePath, GoldenFig2Partition)
-{
-    // The full pinned partition of the Fig. 2 trace: one five-member
-    // chain (I0 -> I10 -> I20 -> I22 -> I23, the greedy head eats the
-    // first of I22's tied consumers) and 27 singletons in start order.
-    const auto trace = fig2Trace();
-    CriticalityConfig cfg;
-    const auto info = analysis::computeFanout(trace, cfg);
-    const auto chains = analysis::extractChains(trace, info, cfg);
-
-    ASSERT_EQ(chains.size(), 28u);
-    const std::vector<program::DynIdx> lead = {0, 10, 20, 22, 23};
-    ASSERT_EQ(chains[0].size(), lead.size());
-    for (std::size_t k = 0; k < lead.size(); ++k)
-        EXPECT_EQ(chains[0][k], lead[k]) << "member " << k;
-
-    const std::vector<program::DynIdx> singles = {
-        1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 16, 17, 18,
-        19, 21, 24, 25, 26, 27, 28, 29, 30, 31};
-    ASSERT_EQ(chains.size(), singles.size() + 1);
-    for (std::size_t c = 0; c < singles.size(); ++c) {
-        ASSERT_EQ(chains[c + 1].size(), 1u) << "chain " << c + 1;
-        EXPECT_EQ(chains[c + 1][0], singles[c]);
-    }
-}
-
-TEST_P(AnalyzePath, MembersAreSelfContained)
-{
-    const auto trace = fig2Trace();
-    CriticalityConfig cfg;
-    const auto info = analysis::computeFanout(trace, cfg);
-    const auto chains = analysis::extractChains(trace, info, cfg);
-    // I21 has two in-window producers and must never be a chain
-    // extension (only a head).
-    for (const DynChains::ChainRef chain : chains) {
-        for (std::size_t k = 1; k < chain.size(); ++k)
-            EXPECT_NE(chain[k], 21);
-    }
-}
-
-TEST(Chains, FlatMatchesLegacyOnScrambledTrace)
-{
-    // Path parity on a dependence soup: members and offsets must be
-    // byte-identical, including every greedy tie-break and lookahead.
-    for (const std::size_t n : {64u, 1000u, 5000u}) {
-        const auto trace = scrambledTrace(n);
-        CriticalityConfig cfg;
-        cfg.window = 64;
-        const auto info = analysis::computeFanout(trace, cfg);
-        const auto flat = withAnalyzePath(true, [&] {
-            return analysis::extractChains(trace, info, cfg);
-        });
-        const auto legacy = withAnalyzePath(false, [&] {
-            return analysis::extractChains(trace, info, cfg);
-        });
-        EXPECT_EQ(flat.members, legacy.members) << "n=" << n;
-        EXPECT_EQ(flat.offsets, legacy.offsets) << "n=" << n;
-    }
-}
-
-TEST_P(AnalyzePath, GapHistogram)
-{
-    const auto trace = fig2Trace();
-    CriticalityConfig cfg;
-    const auto info = analysis::computeFanout(trace, cfg);
-    const auto chains = analysis::extractChains(trace, info, cfg);
-    const auto stats =
-        analysis::chainStatistics(trace, chains, info, cfg);
-
-    // The I0 -> I10 -> I20 -> I22 chain has gaps 0 (I0 to I10) and 1
-    // (I10 -(I20)-> I22).
-    EXPECT_GT(stats.critGap.at(0), 0.0);
-    EXPECT_GT(stats.critGap.at(1), 0.0);
-    EXPECT_GT(stats.multiMemberChains, 0u);
-    EXPECT_GT(stats.icLength.maxBucket(), 2);
-    EXPECT_GE(stats.noDependentCritFrac, 0.0);
-    EXPECT_LE(stats.noDependentCritFrac, 1.0);
 }
 
 TEST(CriticalSet, SelectsBiasedStatics)

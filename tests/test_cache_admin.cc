@@ -19,12 +19,12 @@
 #include <set>
 
 #include "runner/cache_admin.hh"
-#include "runner/json.hh"
 #include "runner/manifest.hh"
 #include "runner/orchestrator.hh"
 #include "runner/result_store.hh"
 #include "runner/shard.hh"
 #include "runner/sigint.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 using namespace critics;
@@ -92,7 +92,7 @@ makeLine(const JobSpec &spec, const sim::RunResult &result,
          std::uint64_t writtenUnix, const std::string &hashOverride = "",
          int schema = kResultSchemaVersion)
 {
-    JsonWriter w;
+    json::JsonWriter w;
     w.beginObject()
         .field("schema", schema)
         .field("hash",
@@ -113,7 +113,7 @@ wellFormedLineCount(const std::string &path)
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
-        const auto doc = parseJson(line);
+        const auto doc = json::parseJson(line);
         if (!doc || !doc->isObject())
             return static_cast<std::size_t>(-1); // torn line
         ++count;

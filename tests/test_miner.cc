@@ -1,17 +1,16 @@
 /**
  * @file
  * Tests for CritIC mining and selection: signature aggregation,
- * end-trimming, thresholding, length handling, convertibility and
- * non-overlap constraints, and the coverage CDF.  The miner runs under
- * both analyze paths (flat and the CRITICS_FLAT_ANALYZE=off legacy
- * escape hatch); golden hand-built traces pin the aggregation numbers.
+ * thresholding, length handling, convertibility and non-overlap
+ * constraints, and the coverage CDF.  The golden trim/aggregation
+ * numbers live in test_analyze_reference.cc, which pins the library
+ * and the pre-overhaul reference miner to the same values.
  */
 
 #include <algorithm>
 #include <gtest/gtest.h>
 
 #include "analysis/miner.hh"
-#include "analysis/mode.hh"
 #include "helpers.hh"
 #include "program/emit.hh"
 #include "program/walker.hh"
@@ -19,37 +18,12 @@
 using namespace critics;
 using namespace critics::test;
 using analysis::CriticalityConfig;
-using analysis::DynChains;
 using analysis::MinedChain;
 using analysis::MineResult;
 using analysis::SelectOptions;
 
 namespace
 {
-
-/** A single-block loop program containing one designed chain:
- *  C1 (uid 1) -> link (uid 2) -> C2 (uid 3) with enough consumers for
- *  both chain nodes to be high fanout. */
-Program
-chainLoopProgram()
-{
-    BasicBlock bb;
-    bb.insts.push_back(inst(0, OpClass::IntAlu, 6)); // filler def
-    bb.insts.push_back(inst(1, OpClass::IntAlu, 1));         // C1
-    bb.insts.push_back(inst(2, OpClass::IntAlu, 2, 1));      // link
-    bb.insts.push_back(inst(3, OpClass::IntAlu, 3, 2));      // C2
-    std::uint32_t uid = 4;
-    for (int c = 0; c < 12; ++c) // consumers of C1 and C2
-        bb.insts.push_back(inst(uid++, OpClass::IntAlu,
-                                static_cast<std::uint8_t>(8 + c % 3),
-                                1, 3));
-    StaticInst loop = inst(uid++, OpClass::Branch, isa::NoReg, 8);
-    loop.flow = program::FlowKind::CondBranch;
-    loop.targetBlock = 0;
-    loop.takenBias = 1.0f;
-    bb.insts.push_back(loop);
-    return makeProgram({bb});
-}
 
 struct Mined
 {
@@ -78,89 +52,7 @@ mineChainLoop(double profileFraction = 1.0)
     return m;
 }
 
-/** Run a callable under a forced analyze path, restoring after. */
-template <typename Fn>
-auto
-withAnalyzePath(bool flat, Fn &&fn)
-{
-    const bool prev = analysis::flatAnalyzeEnabled();
-    analysis::setFlatAnalyze(flat);
-    auto result = fn();
-    analysis::setFlatAnalyze(prev);
-    return result;
-}
-
-/**
- * A hand-built mining input with fully known trim behavior:
- *
- *  - two executions of a 5-member dyn chain over uids 0..4 whose fanout
- *    pattern [0, 9, 9, 9, 0] forces the trim loop to shave both ends
- *    (avg 5.4 < 8, then 6.75 < 8, then 9 >= 8) down to uids [1,2,3];
- *  - one 2-member chain (uids 0 and 4, fanouts 3 and 3) that survives
- *    the >= 2 length floor, is aggregated, and is then dropped by the
- *    avg-fanout threshold.
- */
-struct GoldenInput
-{
-    Program prog;
-    program::Trace trace;
-    analysis::FanoutInfo fanout;
-    DynChains chains;
-    CriticalityConfig cfg;
-};
-
-GoldenInput
-goldenInput()
-{
-    GoldenInput g;
-    BasicBlock bb;
-    for (std::uint32_t k = 0; k < 5; ++k)
-        bb.insts.push_back(
-            inst(k, OpClass::IntAlu, static_cast<std::uint8_t>(k)));
-    g.prog = makeProgram({bb});
-
-    const std::uint16_t fanouts[] = {0, 9, 9, 9, 0};
-    for (int rep = 0; rep < 2; ++rep) {
-        for (std::uint32_t k = 0; k < 5; ++k) {
-            g.trace.insts.push_back(
-                dyn(k, 0x10000 + 4 * k, OpClass::IntAlu));
-            g.fanout.fanout.push_back(fanouts[k]);
-        }
-    }
-    g.trace.insts.push_back(dyn(0, 0x10000, OpClass::IntAlu));
-    g.fanout.fanout.push_back(3);
-    g.trace.insts.push_back(dyn(4, 0x10010, OpClass::IntAlu));
-    g.fanout.fanout.push_back(3);
-    g.fanout.critMask.assign(g.trace.size(), 0);
-
-    g.chains.members = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
-    g.chains.offsets = {0, 5, 10, 12};
-    return g;
-}
-
 } // namespace
-
-/** Both analyze paths; GetParam() == true selects flat. */
-class MinerPath : public ::testing::TestWithParam<bool>
-{
-  protected:
-    void
-    SetUp() override
-    {
-        prev_ = analysis::flatAnalyzeEnabled();
-        analysis::setFlatAnalyze(GetParam());
-    }
-
-    void TearDown() override { analysis::setFlatAnalyze(prev_); }
-
-  private:
-    bool prev_ = true;
-};
-
-INSTANTIATE_TEST_SUITE_P(Paths, MinerPath, ::testing::Bool(),
-                         [](const auto &info) {
-                             return info.param ? "flat" : "legacy";
-                         });
 
 TEST(Miner, FindsTheDesignedChain)
 {
@@ -177,72 +69,6 @@ TEST(Miner, FindsTheDesignedChain)
     EXPECT_TRUE(top.directlyConvertible);
     EXPECT_EQ(top.memberFanout.size(), top.uids.size());
     EXPECT_EQ(top.memberConvertible.size(), top.uids.size());
-}
-
-TEST_P(MinerPath, GoldenTrimAndAggregation)
-{
-    const auto g = goldenInput();
-    const auto result = analysis::mineCritIcs(
-        g.trace, g.prog, g.chains, g.fanout, g.cfg, 1.0);
-
-    EXPECT_EQ(result.dynInsts, 12u);
-    // Three segments survive the length floor: two trimmed copies of
-    // uids [1,2,3] and the low-fanout pair [0,4].
-    EXPECT_EQ(result.segmentsSeen, 3u);
-    // The pair's avg fanout 3 < 8 drops it; one unique chain remains.
-    ASSERT_EQ(result.chains.size(), 1u);
-    const MinedChain &chain = result.chains.front();
-    const std::vector<program::InstUid> uids = {1, 2, 3};
-    EXPECT_EQ(chain.uids, uids);
-    EXPECT_EQ(chain.dynCount, 2u);
-    EXPECT_DOUBLE_EQ(chain.avgFanout, 9.0);
-    const std::vector<double> member = {9.0, 9.0, 9.0};
-    EXPECT_EQ(chain.memberFanout, member);
-    const std::vector<std::uint8_t> conv = {1, 1, 1};
-    EXPECT_EQ(chain.memberConvertible, conv);
-    EXPECT_TRUE(chain.directlyConvertible);
-    EXPECT_EQ(chain.coverage(), 6u);
-}
-
-TEST(Miner, FlatMatchesLegacy)
-{
-    const auto flat =
-        withAnalyzePath(true, [] { return mineChainLoop(); });
-    const auto legacy =
-        withAnalyzePath(false, [] { return mineChainLoop(); });
-    EXPECT_EQ(flat.result.dynInsts, legacy.result.dynInsts);
-    EXPECT_EQ(flat.result.segmentsSeen, legacy.result.segmentsSeen);
-    ASSERT_EQ(flat.result.chains.size(), legacy.result.chains.size());
-    for (std::size_t i = 0; i < flat.result.chains.size(); ++i) {
-        const MinedChain &a = flat.result.chains[i];
-        const MinedChain &b = legacy.result.chains[i];
-        EXPECT_EQ(a.uids, b.uids) << "chain " << i;
-        EXPECT_EQ(a.dynCount, b.dynCount) << "chain " << i;
-        EXPECT_DOUBLE_EQ(a.avgFanout, b.avgFanout) << "chain " << i;
-        EXPECT_EQ(a.memberFanout, b.memberFanout) << "chain " << i;
-        EXPECT_EQ(a.memberConvertible, b.memberConvertible)
-            << "chain " << i;
-        EXPECT_EQ(a.directlyConvertible, b.directlyConvertible)
-            << "chain " << i;
-    }
-}
-
-TEST_P(MinerPath, SharedLocTableMatchesPrivate)
-{
-    // Passing the AppExperiment-shared LocTable must not change
-    // anything vs the miner building its own (or, on the legacy path,
-    // ignoring it entirely).
-    auto m = mineChainLoop();
-    CriticalityConfig cfg;
-    const analysis::LocTable locs(m.prog);
-    const auto shared = analysis::mineCritIcs(
-        m.trace, m.prog, m.chains, m.fanout, cfg, 1.0, &locs);
-    ASSERT_EQ(shared.chains.size(), m.result.chains.size());
-    for (std::size_t i = 0; i < shared.chains.size(); ++i) {
-        EXPECT_EQ(shared.chains[i].uids, m.result.chains[i].uids);
-        EXPECT_EQ(shared.chains[i].dynCount,
-                  m.result.chains[i].dynCount);
-    }
 }
 
 TEST(Miner, ChainsSortedByCoverage)

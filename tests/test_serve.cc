@@ -21,11 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "runner/json.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/supervisor.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 using namespace critics;
@@ -159,6 +159,7 @@ TEST(ServeProtocol, MalformedRequestsAreRejectedWithAReason)
         "{\"op\":\"status\"}",              // status without a job
         "{\"op\":\"wait\",\"job\":\"\"}",   // empty job id
         "{\"op\":\"submit\",\"insts\":0}",  // zero budget
+        "{\"op\":\"submit\",\"insts\":2147483648}", // past DynIdx
         "{\"op\":\"submit\",\"batch\":\"\"}",
         "{\"op\":\"submit\",\"refresh\":\"yes\"}", // wrong type
     };

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for histograms, summaries, CDFs, logging and the table
- * renderer.
+ * Unit tests for histograms, summaries, CDFs, logging, strict number
+ * parsing and the table renderer.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 
 #include <atomic>
@@ -250,5 +251,45 @@ TEST(Logging, DebugGatedByEnvironment)
     if (::getenv("CRITICS_DEBUG") == nullptr) {
         EXPECT_FALSE(critics::debugEnabled("cpu"));
         EXPECT_FALSE(critics::debugEnabled("no-such-component"));
+    }
+}
+
+TEST(ParseUnsigned, AcceptsDigitsUpToMax)
+{
+    EXPECT_EQ(parseUnsigned("0"), 0u);
+    EXPECT_EQ(parseUnsigned("20000"), 20000u);
+    EXPECT_EQ(parseUnsigned("007"), 7u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parseUnsigned("65535", 65535), 65535u);
+}
+
+TEST(ParseUnsigned, RejectsEmptySignsAndJunk)
+{
+    for (const char *text : {"", "-1", "+1", " 1", "1 ", "20000abc",
+                             "0x10", "1e3", "3.5", "abc", "-0"}) {
+        EXPECT_FALSE(parseUnsigned(text).has_value()) << "'" << text
+                                                      << "'";
+    }
+}
+
+TEST(ParseUnsigned, RejectsOverflowAndAboveMax)
+{
+    EXPECT_FALSE(parseUnsigned("18446744073709551616").has_value());
+    EXPECT_FALSE(parseUnsigned("99999999999999999999999").has_value());
+    EXPECT_FALSE(parseUnsigned("65536", 65535).has_value());
+    EXPECT_FALSE(parseUnsigned("1", 0).has_value());
+    EXPECT_EQ(parseUnsigned("0", 0), 0u);
+}
+
+TEST(ParseNonNegative, FiniteAndNotNegative)
+{
+    EXPECT_EQ(parseNonNegative("0.01"), 0.01);
+    EXPECT_EQ(parseNonNegative("2"), 2.0);
+    EXPECT_EQ(parseNonNegative("1e-9"), 1e-9);
+    for (const char *text : {"", "-0.5", "+1", "1x", " 1", "nan", "inf",
+                             "1e999"}) {
+        EXPECT_FALSE(parseNonNegative(text).has_value()) << "'" << text
+                                                         << "'";
     }
 }
