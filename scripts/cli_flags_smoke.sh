@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Malformed numeric flags are usage errors: each bad value must exit 2
-# with a diagnostic naming the flag, before anything is simulated (no
-# result store or manifest appears in the cache dir).
+# with a one-line diagnostic naming the flag, before anything is
+# simulated (no result store or manifest appears in the cache dir).
 #
 # Usage: scripts/cli_flags_smoke.sh   (after cmake --build build)
 set -euo pipefail
@@ -17,12 +17,15 @@ trap 'rm -rf "$WORK"' EXIT
 check() {
     local flag="$1"; shift
     local rc=0
-    CRITICS_CACHE_DIR="$WORK/cache" "$CLI" "$@" >"$WORK/out" 2>&1 || rc=$?
+    CRITICS_CACHE_DIR="$WORK/cache" "$CLI" "$@" >"$WORK/out" 2>"$WORK/err" || rc=$?
     if [ "$rc" -ne 2 ]; then
-        echo "'$*' exited $rc, want 2:"; cat "$WORK/out"; exit 1
+        echo "'$*' exited $rc, want 2:"; cat "$WORK/out" "$WORK/err"; exit 1
     fi
-    grep -q -- "$flag" "$WORK/out" || {
-        echo "'$*' did not name $flag:"; cat "$WORK/out"; exit 1
+    grep -q -- "$flag" "$WORK/err" || {
+        echo "'$*' did not name $flag:"; cat "$WORK/out" "$WORK/err"; exit 1
+    }
+    [ "$(wc -l <"$WORK/err")" -eq 1 ] || {
+        echo "'$*' did not report exactly one line:"; cat "$WORK/err"; exit 1
     }
 }
 

@@ -112,15 +112,20 @@ extractChains(const Trace &trace, const FanoutInfo &fanout,
         buildEligibleForest(trace, config.window);
     std::vector<std::uint8_t> taken(n, 0);
 
+    // No eligible consumer of an untaken node can be taken yet: its
+    // only producer is that node, and chains start in index order
+    // below it.  So a forest list is exactly the untaken candidates of
+    // its producer, for the tail (which has just joined its chain) and
+    // for each of the tail's consumers in the lookahead.
+    //
     // The lookahead of a candidate: the best 1 + fanout among its own
-    // eligible untaken consumers.  It needs no memo: a candidate is
-    // scored only in the one greedy step whose tail is its producer.
+    // eligible consumers.  It needs no memo: a candidate is scored
+    // only in the one greedy step whose tail is its producer.
     auto lookahead = [&](DynIdx cand) {
         std::uint32_t best = 0;
         for (DynIdx nxt = forest.head[cand]; nxt != NoDep;
              nxt = forest.next[nxt]) {
-            if (!taken[nxt])
-                best = std::max(best, 1u + fanout.fanout[nxt]);
+            best = std::max(best, 1u + fanout.fanout[nxt]);
         }
         return best;
     };
@@ -138,37 +143,21 @@ extractChains(const Trace &trace, const FanoutInfo &fanout,
 
         while (true) {
             // With exactly one eligible consumer the greedy choice is
-            // score-independent (the first eligible candidate always
-            // seeds `best`), so the lookahead only runs on contested
-            // steps.  Scores are kept doubled so every term is an
-            // integer.
-            DynIdx only = NoDep;
-            bool contested = false;
-            for (DynIdx cand = forest.head[cur]; cand != NoDep;
-                 cand = forest.next[cand]) {
-                if (taken[cand])
-                    continue;
-                if (only == NoDep) {
-                    only = cand;
-                } else {
-                    contested = true;
-                    break;
-                }
-            }
-            if (only == NoDep)
+            // score-independent, so the lookahead only runs on
+            // contested steps.  Scores are kept doubled so every term
+            // is an integer.
+            const DynIdx first = forest.head[cur];
+            if (first == NoDep)
                 break;
-            DynIdx best = only;
-            if (contested) {
-                best = NoDep;
+            DynIdx best = first;
+            if (forest.next[first] != NoDep) { // contested
                 std::uint32_t bestScore = 0;
-                for (DynIdx cand = forest.head[cur]; cand != NoDep;
+                for (DynIdx cand = first; cand != NoDep;
                      cand = forest.next[cand]) {
-                    if (taken[cand])
-                        continue;
                     const std::uint32_t score =
                         2u * (1u + fanout.fanout[cand]) +
                         lookahead(cand);
-                    if (best == NoDep || score > bestScore) {
+                    if (score > bestScore) {
                         best = cand;
                         bestScore = score;
                     }

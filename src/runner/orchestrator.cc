@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -145,6 +146,10 @@ Runner::registerStats(stats::StatRegistry &reg) const
     ThreadPool::shared().registerStats(reg, "runner.pool");
     reg.addLatency("runner.jobWall", jobWall_,
                    "wall time of executed jobs (us)");
+    reg.addCounter("runner.experiments.live", expLive_,
+                   "app experiments the runner holds");
+    reg.addCounter("runner.experiments.peak", expPeak_,
+                   "most app experiments held at once");
 }
 
 std::shared_ptr<sim::AppExperiment>
@@ -156,8 +161,11 @@ Runner::experiment(const workload::AppProfile &profile,
     {
         std::lock_guard<std::mutex> guard(expLock_);
         auto &entry = experiments_[key];
-        if (!entry)
+        if (!entry) {
             entry = std::make_shared<ExpSlot>();
+            expLive_ = experiments_.size();
+            expPeak_ = std::max(expPeak_, expLive_);
+        }
         slot = entry;
     }
     // Construction (synthesis + trace emission) happens outside the
@@ -168,6 +176,43 @@ Runner::experiment(const workload::AppProfile &profile,
             std::make_shared<sim::AppExperiment>(profile, options);
     });
     return slot->experiment;
+}
+
+void
+Runner::settleJob(const JobSpec &spec,
+                  const std::shared_ptr<sim::AppExperiment> &experiment)
+{
+    const bool transformed = spec.variant.transform != sim::Transform::None;
+    const std::string key = spec.appKey();
+    bool lastOfTransform = false;
+    std::shared_ptr<ExpSlot> dropped; // freed after the lock
+    {
+        std::lock_guard<std::mutex> guard(expLock_);
+        const auto it = pending_.find(key);
+        critics_assert(it != pending_.end(), "settled an unexpected job");
+        Pending &pending = it->second;
+        if (transformed) {
+            const auto t = pending.transforms.find(sim::transformMemoKey(
+                spec.variant, spec.options.profileFraction));
+            if (--t->second == 0) {
+                pending.transforms.erase(t);
+                lastOfTransform = true;
+            }
+        }
+        if (--pending.jobs == 0) {
+            pending_.erase(it);
+            const auto slot = experiments_.find(key);
+            if (slot != experiments_.end()) {
+                dropped = std::move(slot->second);
+                experiments_.erase(slot);
+                expLive_ = experiments_.size();
+            }
+        }
+    }
+    // A caller that pinned the experiment keeps it, so the transformed
+    // trace is released on it explicitly.
+    if (lastOfTransform && experiment)
+        experiment->releaseTransform(spec.variant);
 }
 
 BatchResult
@@ -331,11 +376,25 @@ Runner::run(const std::string &batchName,
     progress.update(doneCount.load(), 0);
 
     // ---- Phase 3: run the misses on the pool -----------------------------
+    // Count what the misses need, so settleJob() can free each
+    // transformed trace and app experiment after its last job here.
+    {
+        std::lock_guard<std::mutex> guard(expLock_);
+        for (const std::size_t i : unique) {
+            const JobSpec &spec = owned[i];
+            Pending &pending = pending_[spec.appKey()];
+            ++pending.jobs;
+            if (spec.variant.transform != sim::Transform::None)
+                ++pending.transforms[sim::transformMemoKey(
+                    spec.variant, spec.options.profileFraction)];
+        }
+    }
     const auto simStart = Clock::now();
     ThreadPool::shared().forEach(unique.size(), [&](std::size_t u) {
         const std::size_t i = unique[u];
         const JobSpec &spec = owned[i];
         JobOutcome outcome;
+        std::shared_ptr<sim::AppExperiment> exp;
         const auto jobStart = Clock::now();
 
         if (SigintGuard::interrupted()) {
@@ -345,8 +404,7 @@ Runner::run(const std::string &batchName,
                  outcome.attempts <= options_.maxAttempts;
                  ++outcome.attempts) {
                 try {
-                    auto exp =
-                        experiment(spec.profile, spec.options);
+                    exp = experiment(spec.profile, spec.options);
                     outcome.result =
                         options_.executor(spec, *exp);
                     outcome.ok = true;
@@ -372,6 +430,7 @@ Runner::run(const std::string &batchName,
                 0, tsink->tidForCurrentThread(), "attempts",
                 static_cast<double>(outcome.attempts));
         }
+        settleJob(spec, exp);
 
         if (outcome.ok && options_.useCache) {
             store_.insert(hashes[i], specs[i], spec.profile.name,

@@ -127,6 +127,12 @@ class Runner
      * The shared AppExperiment for this profile+options (created on
      * first use).  Benches use this for offline-analysis statistics
      * (chain geometry, fanout fractions) that are not RunResults.
+     *
+     * The Runner keeps an experiment only while a batch still has a
+     * job for it: run() drops each transformed trace after the last
+     * job that reads it and the app's experiment after the app's last
+     * job.  A caller that needs the experiment past a batch holds the
+     * returned pointer.
      */
     std::shared_ptr<sim::AppExperiment>
     experiment(const workload::AppProfile &profile,
@@ -136,20 +142,38 @@ class Runner
     const RunnerOptions &options() const { return options_; }
 
     /** Register the runner's infrastructure counters: the result
-     *  cache under "runner.cache", the pool under "runner.pool", and
-     *  the per-job wall-time latency histogram as "runner.jobWall".
+     *  cache under "runner.cache", the pool under "runner.pool", the
+     *  per-job wall-time latency histogram as "runner.jobWall", and
+     *  the experiments held now and at most as "runner.experiments".
      *  The Runner must outlive the registry. */
     void registerStats(stats::StatRegistry &reg) const;
 
   private:
+    /** Jobs of the running batches that still need one app key, in
+     *  all and per transform memo key. */
+    struct Pending
+    {
+        std::size_t jobs = 0;
+        std::map<sim::TransformKey, std::size_t> transforms;
+    };
+
+    /** A job's final attempt is over: release what no pending job
+     *  needs any more.  `experiment` is the one the job ran on, or
+     *  nullptr when it never got one. */
+    void settleJob(const JobSpec &spec,
+                   const std::shared_ptr<sim::AppExperiment> &experiment);
+
     RunnerOptions options_;
     ResultStore store_;
     /** Wall time of every executed (non-cached) job, in µs. */
     LatencyHistogram jobWall_;
 
-    std::mutex expLock_;
+    std::mutex expLock_; ///< experiments_, pending_ and the counts
     struct ExpSlot;
     std::map<std::string, std::shared_ptr<ExpSlot>> experiments_;
+    std::map<std::string, Pending> pending_;
+    std::uint64_t expLive_ = 0; ///< experiments_.size()
+    std::uint64_t expPeak_ = 0; ///< max of expLive_
 };
 
 /**

@@ -195,6 +195,22 @@ AppExperiment::transformedTrace(const Variant &variant)
     return slot;
 }
 
+void
+AppExperiment::releaseTransform(const Variant &variant)
+{
+    const TransformKey key =
+        transformMemoKey(variant, options_.profileFraction);
+    std::lock_guard<std::mutex> guard(memoLock_);
+    memo_.erase(key);
+}
+
+std::size_t
+AppExperiment::memoEntries() const
+{
+    std::lock_guard<std::mutex> guard(memoLock_);
+    return memo_.size();
+}
+
 RunResult
 AppExperiment::run(const Variant &variant)
 {

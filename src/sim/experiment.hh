@@ -200,6 +200,17 @@ class AppExperiment
     /** baselineCycles / variantCycles. */
     double speedup(const RunResult &result);
 
+    /**
+     * Drop the memoized transformed trace for the variant's memo key.
+     * A run still holding the slot keeps it alive until it returns; a
+     * later run of the same key rebuilds it, bit for bit.  The Runner
+     * calls this after a batch's last job that needs the key.
+     */
+    void releaseTransform(const Variant &variant);
+
+    /** Transformed traces currently memoized. */
+    std::size_t memoEntries() const;
+
   private:
     struct MinedSlot;     ///< per-fraction once-latch + result
     struct TransformSlot; ///< per-key once-latch + transformed trace
@@ -244,7 +255,7 @@ class AppExperiment
     // misses on *different* keys build in parallel.
     std::mutex minedLock_;
     std::map<std::uint64_t, std::shared_ptr<MinedSlot>> mined_;
-    std::mutex memoLock_;
+    mutable std::mutex memoLock_;
     std::map<TransformKey, std::shared_ptr<TransformSlot>> memo_;
 };
 

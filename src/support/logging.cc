@@ -80,11 +80,12 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    std::cerr << "fatal: " << msg << " @ " << file << ":" << line
-              << std::endl;
-    throw std::runtime_error("fatal: " + msg);
+    // A user error is reported once, by whoever catches it (the CLI
+    // prints "error: <msg>", the runner records it on the failed job),
+    // and without a source location that means nothing to the user.
+    throw std::runtime_error(msg);
 }
 
 void

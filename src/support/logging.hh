@@ -16,8 +16,9 @@ namespace critics
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+/** Throws std::runtime_error(msg); prints nothing (the catcher
+ *  reports it, once). */
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -71,8 +72,7 @@ concat(const Args &...args)
 
 /** The simulation cannot continue due to a user/configuration error. */
 #define critics_fatal(...) \
-    ::critics::fatalImpl(__FILE__, __LINE__, \
-                         ::critics::detail::concat(__VA_ARGS__))
+    ::critics::fatalImpl(::critics::detail::concat(__VA_ARGS__))
 
 #define critics_warn(...) \
     ::critics::warnImpl(::critics::detail::concat(__VA_ARGS__))

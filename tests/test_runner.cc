@@ -2,23 +2,30 @@
  * @file
  * The experiment orchestrator: job-hash stability, persistent-cache
  * hit/miss/invalidation, JSONL round-tripping, failed-job isolation,
- * bounded retry, in-flight dedup, and cold/warm bit-identity.
+ * bounded retry, in-flight dedup, cold/warm bit-identity, and what a
+ * Runner keeps once a batch's jobs are done.
  */
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <random>
 
 #include "runner/manifest.hh"
 #include "runner/orchestrator.hh"
 #include "runner/result_store.hh"
 #include "runner/thread_pool.hh"
+#include "sim/variants.hh"
+#include "stats/registry.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
+#include "verify/verify.hh"
 
 using namespace critics;
 using namespace critics::runner;
@@ -374,6 +381,136 @@ TEST(Runner, SharesOneExperimentPerApp)
     JobSpec other = tinySpec("Office");
     EXPECT_NE(first.get(),
               runner.experiment(other.profile, other.options).get());
+}
+
+// ---------------------------------------------------------------------------
+// What a Runner keeps: each transformed trace until the batch's last job
+// that reads it, each app experiment until the app's last job.
+
+namespace
+{
+
+std::uint64_t
+runnerStat(const Runner &runner, const std::string &name)
+{
+    stats::StatRegistry reg;
+    runner.registerStats(reg);
+    const stats::StatDef *def = reg.find(name);
+    EXPECT_NE(def, nullptr) << name;
+    return def != nullptr ? static_cast<std::uint64_t>(def->eval()) : 0;
+}
+
+/** Every app x two transforms, one of them shared by a hardware-only
+ *  variant, at a test-sized trace. */
+std::vector<JobSpec>
+releaseGrid()
+{
+    sim::ExperimentOptions options;
+    options.traceInsts = 20000;
+    std::vector<sim::Variant> variants =
+        sim::parseVariants("baseline,critic,opp16");
+    sim::Variant efetch = sim::parseVariant("critic");
+    efetch.label = "critic+efetch";
+    efetch.efetch = true;
+    variants.push_back(efetch);
+    return makeGrid(workload::allApps(), variants, options);
+}
+
+} // namespace
+
+TEST(RunnerRelease, GridOrderHoldsOnlyAppsWithJobsLeft)
+{
+    TempPath file("critics-runner-release-grid");
+    Runner runner(testOptions(file.str()));
+    const std::vector<JobSpec> jobs = releaseGrid();
+    const auto pinned =
+        runner.experiment(jobs.front().profile, jobs.front().options);
+
+    const auto batch = runner.run("release-grid", jobs);
+    ASSERT_TRUE(batch.allOk());
+    EXPECT_EQ(runnerStat(runner, "runner.experiments.live"), 0u);
+    EXPECT_EQ(pinned->memoEntries(), 0u);
+    // The pool claims jobs in index order, so besides the apps with a
+    // job running (the pool's threads plus the caller) only the app at
+    // the claim frontier can be held.
+    const std::uint64_t peak =
+        runnerStat(runner, "runner.experiments.peak");
+    EXPECT_GE(peak, 1u);
+    EXPECT_LE(peak, ThreadPool::shared().threadCount() + 2);
+}
+
+TEST(RunnerRelease, ShuffledOrderReleasesEverythingAndChangesNoResult)
+{
+    TempPath file("critics-runner-release-shuffled");
+    Runner runner(testOptions(file.str()));
+    std::vector<JobSpec> jobs = releaseGrid();
+    std::mt19937 rng(7);
+    std::shuffle(jobs.begin(), jobs.end(), rng);
+    const auto pinned =
+        runner.experiment(jobs.front().profile, jobs.front().options);
+
+    const auto batch = runner.run("release-shuffled", jobs);
+    ASSERT_TRUE(batch.allOk());
+    EXPECT_EQ(runnerStat(runner, "runner.experiments.live"), 0u);
+    EXPECT_EQ(pinned->memoEntries(), 0u);
+    // A released transform rebuilds to the same result.
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (jobs[i].appKey() != jobs.front().appKey())
+            continue;
+        EXPECT_EQ(resultToJson(pinned->run(jobs[i].variant)),
+                  resultToJson(batch.result(i)))
+            << jobs[i].variant.label;
+    }
+}
+
+TEST(RunnerRelease, SharedTransformKeyIsBuiltOnce)
+{
+    if (verify::levelFromEnv() == verify::Level::Off)
+        GTEST_SKIP() << "counts passes through the verifier";
+    const JobSpec critic = tinySpec("Acrobat", sim::Transform::CritIc);
+    JobSpec efetch = critic;
+    efetch.variant.label = "critic+efetch";
+    efetch.variant.efetch = true;
+    const double fraction = critic.options.profileFraction;
+    ASSERT_EQ(sim::transformMemoKey(critic.variant, fraction),
+              sim::transformMemoKey(efetch.variant, fraction));
+
+    // Each pass application counts its verifier checks, so a second
+    // build of the shared transformed trace would double the count.
+    // The batch runs on a pool worker, where the runner runs its jobs
+    // one after the other, so the second job cannot just share a build
+    // that is still in flight.
+    auto passChecks = [](const std::vector<JobSpec> &jobs) {
+        TempPath file("critics-runner-shared-key");
+        Runner runner(testOptions(file.str()));
+        const std::uint64_t before =
+            verify::counters().structuralChecks.load();
+        ThreadPool worker(1);
+        std::promise<bool> ok;
+        worker.submit([&] {
+            try {
+                ok.set_value(runner.run("shared-key", jobs).allOk());
+            } catch (...) {
+                ok.set_exception(std::current_exception());
+            }
+        });
+        EXPECT_TRUE(ok.get_future().get());
+        return verify::counters().structuralChecks.load() - before;
+    };
+    const std::uint64_t one = passChecks({critic});
+    EXPECT_GT(one, 0u);
+    EXPECT_EQ(passChecks({critic, efetch}), one);
+}
+
+TEST(RunnerRelease, KeepsExperimentsOfAppsOutsideTheBatch)
+{
+    TempPath file("critics-runner-release-outside");
+    Runner runner(testOptions(file.str()));
+    const JobSpec office = tinySpec("Office");
+    runner.experiment(office.profile, office.options);
+    ASSERT_TRUE(runner.run("outside", {tinySpec("Acrobat")}).allOk());
+    EXPECT_EQ(runnerStat(runner, "runner.experiments.live"), 1u);
+    EXPECT_EQ(runnerStat(runner, "runner.experiments.peak"), 2u);
 }
 
 TEST(Manifest, WriteReadRoundTrip)
