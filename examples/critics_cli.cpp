@@ -1,52 +1,29 @@
 /**
  * @file
- * Command-line driver for the experiment orchestrator.
- *
- * Subcommands:
- *   critics_cli run --apps Acrobat,Office --variants baseline,critic
- *       Run an (apps × variants) sweep through the runner: cached
- *       design points are served from the persistent JSONL store, the
- *       rest simulate on the thread pool; prints a speedup table and
- *       the manifest summary.
- *   critics_cli report [manifest.json ...]
- *       Summarize run manifests (default: every manifest in the cache
- *       directory); exits non-zero if any batch recorded a failed job.
- *   critics_cli cache [stats|path|clear]
- *       Inspect or clear the persistent result cache.
- *   critics_cli diff <before> <after>
- *       Regression harness: compare two runs metric-by-metric.  Each
- *       side is a run manifest (results resolved from the result
- *       store by job hash) or a result-store JSONL file; jobs are
- *       matched by app/variant, every stat of the registry is diffed
- *       under a noise threshold, and any significant drift — faster
- *       or slower — exits non-zero naming the regressed dotted stats.
- *   critics_cli lint [--apps ...] [--variants ...] [--out report.json]
- *       Static-analysis gate: synthesize each app's program, apply
- *       each variant's passes under a full verifier audit (structural
- *       + differential dataflow + skip advisories + post-pass lints),
- *       write a machine-readable JSON report and exit non-zero on any
- *       error-severity diagnostic.  No simulation runs.
- *
- * The original single-run interface still works:
+ * Command-line driver for the experiment orchestrator: sweeps through
+ * the runner (`run`), the tracked microbench (`bench`), manifests and
+ * the result store (`report`, `cache`), the regression harness
+ * (`diff`), the static-analysis gate (`lint`), the serve daemon and
+ * its clients (`serve`, `submit`, `status`, `wait`, `top`) and profile
+ * reports (`prof`).  Without a command it runs one app/variant pair:
  *   critics_cli --app Acrobat --variant critic [--json]
- *   critics_cli --list
  *
- * Variants: baseline, hoist, critic, critic-ideal, critic-branchpair,
- *           opp16, compress, opp16+critic, prefetch, aluprio,
- *           backendprio, efetch, perfectbr, icache4x, 2xfd, allhw
+ * Each command declares its flags as one table (support/flags.hh);
+ * `critics_cli --help` lists the commands and `critics_cli <cmd>
+ * --help` prints that command's rows.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -75,6 +52,7 @@
 #include "stats/interval.hh"
 #include "stats/registry.hh"
 #include "stats/trace_event.hh"
+#include "support/flags.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/parse.hh"
@@ -87,179 +65,8 @@ using namespace critics;
 namespace
 {
 
-// The apps/variants string vocabulary is shared with the serve
-// protocol and the worker argv (sim/variants.hh), so a spec submitted
-// over the wire resolves to exactly the grid these flags would build.
 using sim::parseApps;
-using sim::parseVariant;
-using sim::splitList;
-
-/** A flag's unsigned value in [0, max] (by default T's range); any
- *  other text is a usage error that names the flag (exit 2). */
-template <typename T = std::uint64_t>
-T
-unsignedFlag(const std::string &flag, const std::string &text,
-             std::uint64_t max = std::numeric_limits<T>::max())
-{
-    const auto value = parseUnsigned(text, max);
-    if (!value) {
-        critics_fatal(flag, " wants an integer in [0, ", max, "], got '",
-                      text, "'");
-    }
-    return static_cast<T>(*value);
-}
-
-/** A flag's finite, non-negative decimal value (usage error if not). */
-double
-nonNegativeFlag(const std::string &flag, const std::string &text)
-{
-    const auto value = parseNonNegative(text);
-    if (!value) {
-        critics_fatal(flag, " wants a non-negative number, got '", text,
-                      "'");
-    }
-    return *value;
-}
-
-int
-usage()
-{
-    std::printf(
-        "critics_cli — experiment orchestrator driver\n\n"
-        "critics_cli run [options]     run an apps × variants sweep\n"
-        "  --apps <list>       comma list of app names, or one of\n"
-        "                      mobile|specint|specfloat|all\n"
-        "  --variants <list>   comma list of variant names\n"
-        "  --insts <n>         dynamic instructions per sample\n"
-        "  --batch <name>      manifest name (default 'cli')\n"
-        "  --no-cache          bypass the persistent result cache\n"
-        "  --refresh           ignore cached records, re-simulate\n"
-        "  --shard K/N         run only slice K of an N-way hash\n"
-        "                      partition of the batch; results land\n"
-        "                      in a per-shard store (merge with\n"
-        "                      `cache merge`), the manifest is named\n"
-        "                      <batch>.shard-K-of-N\n"
-        "  --cache-file <f>    result store path (default: the shared\n"
-        "                      cache; sharded runs default to\n"
-        "                      results.shard-K-of-N.jsonl)\n"
-        "  --json              emit per-job comparison JSON\n"
-        "  --stats-interval <n> sample all stats every n committed\n"
-        "                      insts; JSONL to --stats-out\n"
-        "                      (simulated jobs only — use --refresh\n"
-        "                      to force fresh runs)\n"
-        "  --stats-out <file>  interval JSONL path\n"
-        "                      (default stats_cli.jsonl)\n"
-        "  --trace-out <file>  Chrome trace of runner phases, per-job\n"
-        "                      spans and pipeline-stage spans (load in\n"
-        "                      Perfetto)\n"
-        "  --profile <file>    sample this process with SIGPROF and\n"
-        "                      write a per-stage/per-symbol profile\n"
-        "                      (inspect with `prof report`)\n"
-        "critics_cli bench [options]   tracked simulator microbench:\n"
-        "                      N repetitions of a fixed app/variant\n"
-        "                      matrix, median sim-insts/s per stage\n"
-        "                      (emit, analyze, simulate); appends the\n"
-        "                      measurement to BENCH_sim.json\n"
-        "  --quick             small matrix for CI smoke\n"
-        "  --reps <n>          repetitions (default 5; 3 with --quick)\n"
-        "  --insts <n>         dynamic insts per app (default 400000)\n"
-        "  --apps/--variants   override the fixed matrix\n"
-        "  --label <text>      measurement label (default full/quick)\n"
-        "  --out <file>        trajectory file (default BENCH_sim.json)\n"
-        "  --baseline <file>   print per-stage deltas vs the last\n"
-        "                      measurement in <file> (non-gating)\n"
-        "  --profile <file>    sampling profile of the bench process\n"
-        "critics_cli report [file ...] summarize run manifests\n"
-        "                      (default: all manifests in the cache\n"
-        "                      dir); exit 1 on any failed job\n"
-        "critics_cli cache [stats|path|clear]\n"
-        "critics_cli cache merge <out> <in...>\n"
-        "                      concatenate result stores into <out>\n"
-        "                      (later record wins per content hash;\n"
-        "                      old-schema/malformed lines dropped;\n"
-        "                      surviving lines copied byte-exactly)\n"
-        "critics_cli cache compact [file]\n"
-        "                      rewrite a store dropping superseded,\n"
-        "                      old-schema and collision/orphan\n"
-        "                      records; reports bytes reclaimed\n"
-        "critics_cli cache gc [--max-age <dur>] [--max-bytes <n>]\n"
-        "                      [file]  compact, then bound the store:\n"
-        "                      drop records older than <dur>\n"
-        "                      (30d, 12h, 900s, plain seconds) and\n"
-        "                      evict oldest-first past <n> bytes\n"
-        "                      (512K, 512M, 2G, plain bytes)\n"
-        "critics_cli lint [options]    verify every variant's passes\n"
-        "  --apps <list>       apps or suite (default mobile)\n"
-        "  --variants <list>   variant names (default: all)\n"
-        "  --insts <n>         synthesis budget per app\n"
-        "  --min-run <n>       unconverted-run lint threshold\n"
-        "                      (default 3)\n"
-        "  --trace             also replay each variant's re-emitted\n"
-        "                      trace against its transformed program\n"
-        "                      (verify.trace.* conformance checks,\n"
-        "                      incl. the taken-bias bound)\n"
-        "  --out <file>        JSON report path\n"
-        "                      (default lint_report.json)\n"
-        "                      exit 1 on any error-severity finding\n"
-        "critics_cli diff <before> <after> [options]\n"
-        "                      compare two runs metric-by-metric;\n"
-        "                      exit 1 on any drift beyond noise.\n"
-        "                      each side: manifest .json or result\n"
-        "                      store .jsonl\n"
-        "  --rel <frac>        relative noise threshold (default 0.01)\n"
-        "  --abs <eps>         absolute noise floor (default 1e-9)\n"
-        "  --store <file>      result store for manifest sides\n"
-        "                      (default: the shared cache)\n"
-        "critics_cli serve [options]   job-queue daemon: JSONL\n"
-        "                      submit/status/wait over TCP, warm jobs\n"
-        "                      answered from the result store without\n"
-        "                      simulating, cold jobs hash-sharded\n"
-        "                      across forked serve-worker processes\n"
-        "                      (crash -> bounded restart); SIGTERM\n"
-        "                      drains in-flight work and exits\n"
-        "  --host <ip>         bind address (default 127.0.0.1)\n"
-        "  --port <n>          TCP port (0 = pick one; see below)\n"
-        "  --port-file <f>     write the bound port here after listen\n"
-        "  --workers <n>       worker processes per batch (default 2;\n"
-        "                      0 = run jobs in-process)\n"
-        "  --max-restarts <n>  respawns per crashed worker (default 2)\n"
-        "  --attempts <n>      per-job attempt budget (default 2)\n"
-        "  --cache-file <f>    result store (default: shared cache)\n"
-        "  --trace-out <f>     merged Chrome trace: server request\n"
-        "                      spans plus every worker's job/stage\n"
-        "                      spans, stitched per-pid under one\n"
-        "                      trace id per batch\n"
-        "  --profile-dir <d>   each worker writes a sampling profile\n"
-        "                      to <d>/<batch>.worker-<k>.json\n"
-        "  --stats-out <f>     serve.* stats JSON on shutdown\n"
-        "critics_cli submit [options]  submit a sweep to a daemon and\n"
-        "                      stream its progress events\n"
-        "  --host/--port/--port-file   daemon address\n"
-        "  --apps/--variants/--insts/--batch/--refresh   as `run`\n"
-        "  --no-wait           print the job id and return\n"
-        "critics_cli status <job> [--host ...] one-line job state\n"
-        "critics_cli wait <job> [--host ...]   stream events until\n"
-        "                      done; exit 1 if any job failed\n"
-        "critics_cli top [options]     live daemon monitor: queue\n"
-        "                      depth, warm-hit ratio, job-latency\n"
-        "                      percentiles, worker states\n"
-        "  --host/--port/--port-file   daemon address\n"
-        "  --interval <sec>    refresh period (default 2)\n"
-        "  --once              print one snapshot and exit\n"
-        "critics_cli prof report <file> [--top <n>]\n"
-        "                      pretty-print a --profile report\n\n"
-        "critics_cli --app <name> --variant <name> [--insts n]\n"
-        "                      [--json] [--stats-interval n]\n"
-        "                      [--stats-out f] [--trace-out f]\n"
-        "                      single run (legacy); --trace-out here\n"
-        "                      traces the CPU pipeline stages\n"
-        "critics_cli --list    list registered apps\n\n"
-        "  variants: baseline|hoist|critic|critic-ideal|\n"
-        "            critic-branchpair|opp16|compress|opp16+critic|\n"
-        "            prefetch|aluprio|backendprio|efetch|perfectbr|\n"
-        "            icache4x|2xfd|allhw\n");
-    return 2;
-}
+using sim::parseVariants;
 
 // ---------------------------------------------------------------------------
 // diff: the regression harness.
@@ -322,28 +129,17 @@ cmdDiff(int argc, char **argv)
     stats::DiffOptions opt;
     std::string storePath;
     std::vector<std::string> paths;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--rel") {
-            opt.relThreshold = nonNegativeFlag(arg, next());
-        } else if (arg == "--abs") {
-            opt.absThreshold = nonNegativeFlag(arg, next());
-        } else if (arg == "--store") {
-            storePath = next();
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.size() != 2)
-        return usage();
+    const flags::Table rows = {
+        flags::decimal("--rel", "<frac>", "relative noise threshold",
+                       opt.relThreshold),
+        flags::decimal("--abs", "<eps>", "absolute noise floor",
+                       opt.absThreshold),
+        flags::text("--store", "<file>",
+                    "result store for manifest sides (default: cache)",
+                    storePath),
+    };
+    flags::parseFlags("critics_cli diff", rows, argc, argv,
+                      {"<before> <after>", 2, 2, &paths});
     if (storePath.empty())
         storePath = runner::cacheDir() + "/results.jsonl";
 
@@ -420,39 +216,20 @@ cmdLint(int argc, char **argv)
     unsigned minRun = 3;
     bool withTrace = false;
     std::string outPath = "lint_report.json";
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--apps") {
-            appsArg = next();
-        } else if (arg == "--variants") {
-            variantsArg = next();
-        } else if (arg == "--insts") {
-            insts = unsignedFlag(arg, next(), program::kMaxTraceInsts);
-        } else if (arg == "--min-run") {
-            minRun = unsignedFlag<unsigned>(arg, next());
-        } else if (arg == "--trace") {
-            withTrace = true;
-        } else if (arg == "--out") {
-            outPath = next();
-        } else {
-            return usage();
-        }
-    }
+    const flags::Table rows = flags::join({
+        sim::gridFlags(appsArg, variantsArg, insts),
+        {
+            flags::integer("--min-run", "<n>",
+                           "unconverted-run lint threshold", minRun),
+            flags::toggle("--trace", "also check re-emitted traces",
+                          withTrace),
+            flags::text("--out", "<file>", "JSON report path", outPath),
+        },
+    });
+    flags::parseFlags("critics_cli lint", rows, argc, argv);
 
     const auto apps = parseApps(appsArg);
-    std::vector<std::string> variantNames;
-    if (variantsArg == "all")
-        variantNames = sim::allVariantNames();
-    else
-        variantNames = splitList(variantsArg);
-    if (variantNames.empty())
-        critics_fatal("--variants needs at least one variant");
+    const auto variants = parseVariants(variantsArg);
 
     sim::ExperimentOptions expOptions;
     expOptions.traceInsts = insts;
@@ -480,8 +257,8 @@ cmdLint(int argc, char **argv)
         w.elementObject();
         w.field("app", profile.name);
         w.beginArray("variants");
-        for (const auto &name : variantNames) {
-            const sim::Variant variant = parseVariant(name);
+        for (const auto &variant : variants) {
+            const std::string &name = variant.label;
             verify::PassAudit audit;
 
             w.elementObject();
@@ -554,7 +331,7 @@ cmdLint(int argc, char **argv)
     std::printf("%s\n", table.render().c_str());
     std::printf("lint: %zu app(s) x %zu variant(s): %zu error(s), "
                 "%zu warning(s), %zu advisor%s\nreport: %s\n",
-                apps.size(), variantNames.size(), totalErrors,
+                apps.size(), variants.size(), totalErrors,
                 totalWarnings, totalAdvice,
                 totalAdvice == 1 ? "y" : "ies", outPath.c_str());
     return totalErrors > 0 ? 1 : 0;
@@ -615,62 +392,48 @@ lastStageRate(const json::JsonValue &doc, const char *stage,
 int
 cmdBench(int argc, char **argv)
 {
+    // The fixed matrix: stable across releases so the recorded
+    // trajectory stays comparable.  --quick shrinks what is not given.
     bool quick = false;
-    std::string appsArg, variantsArg, label, baselinePath;
-    std::string profilePath;
+    std::string appsArg = "Acrobat,Angrybirds,Office,Browser";
+    std::string variantsArg = "baseline,critic,opp16,allhw";
+    std::uint64_t insts = 400000;
+    unsigned reps = 5;
+    std::string label = "full";
+    std::string baselinePath, profilePath;
     std::string outPath = "BENCH_sim.json";
-    std::uint64_t insts = 0;
-    unsigned reps = 0;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--quick") {
-            quick = true;
-        } else if (arg == "--apps") {
-            appsArg = next();
-        } else if (arg == "--variants") {
-            variantsArg = next();
-        } else if (arg == "--insts") {
-            insts = unsignedFlag(arg, next(), program::kMaxTraceInsts);
-        } else if (arg == "--reps") {
-            reps = unsignedFlag<unsigned>(arg, next());
-        } else if (arg == "--label") {
-            label = next();
-        } else if (arg == "--out") {
-            outPath = next();
-        } else if (arg == "--baseline") {
-            baselinePath = next();
-        } else if (arg == "--profile") {
-            profilePath = next();
-        } else {
-            return usage();
-        }
+    const flags::Table rows = flags::join({
+        {flags::toggle("--quick", "small matrix and 3 reps", quick)},
+        sim::gridFlags(appsArg, variantsArg, insts),
+        {
+            flags::integer("--reps", "<n>", "repetitions", reps, 1),
+            flags::text("--label", "<text>", "measurement label", label),
+            flags::text("--out", "<file>", "trajectory file", outPath),
+            flags::text("--baseline", "<file>",
+                        "print per-stage deltas vs this file's last "
+                        "measurement",
+                        baselinePath),
+            flags::text("--profile", "<file>", "write a sampling profile",
+                        profilePath),
+        },
+    });
+    const auto parsed =
+        flags::parseFlags("critics_cli bench", rows, argc, argv);
+    if (quick) {
+        if (!parsed.has("--apps"))
+            appsArg = "Acrobat,Office";
+        if (!parsed.has("--variants"))
+            variantsArg = "baseline,critic";
+        if (!parsed.has("--insts"))
+            insts = 150000;
+        if (!parsed.has("--reps"))
+            reps = 3;
+        if (!parsed.has("--label"))
+            label = "quick";
     }
 
-    // The fixed matrix: stable across releases so the recorded
-    // trajectory stays comparable.  --quick shrinks it for CI smoke.
-    if (appsArg.empty())
-        appsArg = quick ? "Acrobat,Office" : "Acrobat,Angrybirds,Office,Browser";
-    if (variantsArg.empty())
-        variantsArg = quick ? "baseline,critic" : "baseline,critic,opp16,allhw";
-    if (insts == 0)
-        insts = quick ? 150000 : 400000;
-    if (reps == 0)
-        reps = quick ? 3 : 5;
-    if (label.empty())
-        label = quick ? "quick" : "full";
-
     const auto apps = parseApps(appsArg);
-    std::vector<sim::Variant> variants;
-    for (const auto &name : splitList(variantsArg))
-        variants.push_back(parseVariant(name));
-    if (variants.empty())
-        critics_fatal("--variants needs at least one variant");
+    const auto variants = parseVariants(variantsArg);
 
     sim::ExperimentOptions expOptions;
     expOptions.traceInsts = insts;
@@ -949,66 +712,46 @@ cmdRun(int argc, char **argv)
     std::uint64_t statsInterval = 0;
     std::string statsOut = "stats_cli.jsonl";
     std::string traceOut, profilePath;
-    bool json = false;
+    bool json = false, noCache = false;
     runner::RunnerOptions options;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--apps") {
-            appsArg = next();
-        } else if (arg == "--variants") {
-            variantsArg = next();
-        } else if (arg == "--insts") {
-            insts = unsignedFlag(arg, next(), program::kMaxTraceInsts);
-        } else if (arg == "--batch") {
-            batchName = next();
-        } else if (arg == "--no-cache") {
-            options.useCache = false;
-        } else if (arg == "--refresh") {
-            options.refresh = true;
-        } else if (arg == "--shard") {
-            const std::string value = next();
-            const auto parsed = runner::ShardSpec::parse(value);
-            if (!parsed) {
-                critics_fatal("--shard wants K/N with 1 <= K <= N, "
-                              "got '", value, "'");
-            }
-            options.shard = *parsed;
-        } else if (arg == "--cache-file") {
-            options.cachePath = next();
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--stats-interval") {
-            statsInterval = unsignedFlag(arg, next());
-        } else if (arg == "--stats-out") {
-            statsOut = next();
-        } else if (arg == "--trace-out") {
-            traceOut = next();
-        } else if (arg == "--profile") {
-            profilePath = next();
-        } else {
-            return usage();
-        }
-    }
+    const flags::Table rows = flags::join({
+        sim::gridFlags(appsArg, variantsArg, insts),
+        {
+            flags::text("--batch", "<name>", "manifest name", batchName),
+            flags::toggle("--no-cache", "bypass the result cache",
+                          noCache),
+            flags::toggle("--refresh", "ignore cached records",
+                          options.refresh),
+            flags::callback(
+                "--shard", "K/N",
+                "run slice K of an N-way partition into its own store",
+                [&options](const std::string &value) {
+                    const auto parsed = runner::ShardSpec::parse(value);
+                    if (!parsed) {
+                        critics_fatal("--shard wants K/N with 1 <= K <= "
+                                      "N, got '", value, "'");
+                    }
+                    options.shard = *parsed;
+                }),
+            flags::text("--cache-file", "<file>", "result store path",
+                        options.cachePath),
+            flags::toggle("--json", "emit per-job result JSON", json),
+            flags::integer("--stats-interval", "<n>",
+                           "sample all stats every n insts (0: never)",
+                           statsInterval),
+            flags::text("--stats-out", "<file>", "interval JSONL path",
+                        statsOut),
+            flags::text("--trace-out", "<file>",
+                        "Chrome trace of job and stage spans", traceOut),
+            flags::text("--profile", "<file>", "write a sampling profile",
+                        profilePath),
+        },
+    });
+    flags::parseFlags("critics_cli run", rows, argc, argv);
+    options.useCache = !noCache;
 
     const auto apps = parseApps(appsArg);
-    // `all` expands to every variant, as in lint, so a zero-drift
-    // sweep can run the complete matrix.
-    std::vector<std::string> variantNames;
-    if (variantsArg == "all")
-        variantNames = sim::allVariantNames();
-    else
-        variantNames = splitList(variantsArg);
-    std::vector<sim::Variant> variants;
-    for (const auto &name : variantNames)
-        variants.push_back(parseVariant(name));
-    if (variants.empty())
-        critics_fatal("--variants needs at least one variant");
+    const auto variants = parseVariants(variantsArg);
 
     // Each shard appends to its own disjoint store; `cache merge`
     // folds them back into the shared one.
@@ -1161,8 +904,8 @@ int
 cmdReport(int argc, char **argv)
 {
     std::vector<std::string> paths;
-    for (int i = 0; i < argc; ++i)
-        paths.emplace_back(argv[i]);
+    flags::parseFlags("critics_cli report", {}, argc, argv,
+                      {"[manifest.json ...]", 0, SIZE_MAX, &paths});
     if (paths.empty()) {
         const std::string dir = runner::cacheDir() + "/manifests";
         std::error_code ec;
@@ -1206,42 +949,12 @@ cmdReport(int argc, char **argv)
     return 0;
 }
 
-/** A flag's unsigned value with an optional unit suffix, scaled to
- *  the base unit; junk or a product past 2^64 is a usage error. */
-std::uint64_t
-scaledFlag(const std::string &flag, const std::string &text,
-           std::initializer_list<std::pair<char, std::uint64_t>> units)
-{
-    std::string_view digits = text;
-    std::uint64_t scale = 1;
-    for (const auto &[suffix, factor] : units) {
-        if (!digits.empty() && digits.back() == suffix) {
-            digits.remove_suffix(1);
-            scale = factor;
-            break;
-        }
-    }
-    const auto value = parseUnsigned(
-        digits, std::numeric_limits<std::uint64_t>::max() / scale);
-    if (!value) {
-        critics_fatal(flag, " wants an integer with an optional unit, "
-                      "got '", text, "'");
-    }
-    return *value * scale;
-}
-
 int
 cmdCacheMerge(int argc, char **argv)
 {
     std::vector<std::string> paths;
-    for (int i = 0; i < argc; ++i)
-        paths.emplace_back(argv[i]);
-    if (paths.size() < 2) {
-        std::fprintf(stderr,
-                     "cache merge wants <out> <in...> (one output, at "
-                     "least one input)\n");
-        return 2;
-    }
+    flags::parseFlags("critics_cli cache merge", {}, argc, argv,
+                      {"<out> <in...>", 2, SIZE_MAX, &paths});
     const std::string out = paths.front();
     paths.erase(paths.begin());
     const auto stats = runner::mergeStores(out, paths);
@@ -1257,8 +970,11 @@ cmdCacheMerge(int argc, char **argv)
 int
 cmdCacheCompact(int argc, char **argv)
 {
-    const std::string path = argc > 0
-        ? argv[0] : runner::cacheDir() + "/results.jsonl";
+    std::vector<std::string> words;
+    flags::parseFlags("critics_cli cache compact", {}, argc, argv,
+                      {"[file]", 0, 1, &words});
+    const std::string path = words.empty()
+        ? runner::cacheDir() + "/results.jsonl" : words[0];
     const auto stats = runner::compactStore(path);
     if (!stats) {
         std::fprintf(stderr, "cache compact failed for %s\n",
@@ -1274,38 +990,26 @@ int
 cmdCacheGc(int argc, char **argv)
 {
     runner::GcOptions opt;
-    std::string path;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--max-age") {
-            // "900", "900s", "15m", "12h" or "30d" → seconds.
-            opt.maxAgeSeconds = scaledFlag(
-                arg, next(), {{'d', 86400}, {'h', 3600}, {'m', 60},
-                              {'s', 1}});
-        } else if (arg == "--max-bytes") {
-            // "65536", "512K", "512M" or "2G" → bytes.
-            opt.maxBytes = scaledFlag(
-                arg, next(), {{'K', 1ull << 10}, {'k', 1ull << 10},
-                              {'M', 1ull << 20}, {'m', 1ull << 20},
-                              {'G', 1ull << 30}, {'g', 1ull << 30}});
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            path = arg;
-        }
-    }
-    if (opt.maxAgeSeconds == 0 && opt.maxBytes == 0) {
-        std::fprintf(stderr,
-                     "cache gc wants --max-age and/or --max-bytes\n");
-        return 2;
-    }
-    if (path.empty())
-        path = runner::cacheDir() + "/results.jsonl";
+    std::vector<std::string> words;
+    const flags::Table rows = {
+        flags::scaled("--max-age", "<dur>",
+                      "drop older records (30d, 12h, 15m, 900s or 900)",
+                      opt.maxAgeSeconds,
+                      {{'d', 86400}, {'h', 3600}, {'m', 60}, {'s', 1}}),
+        flags::scaled("--max-bytes", "<n>",
+                      "evict oldest past this size (2G, 512M, 512K, 512)",
+                      opt.maxBytes,
+                      {{'K', 1ull << 10}, {'k', 1ull << 10},
+                       {'M', 1ull << 20}, {'m', 1ull << 20},
+                       {'G', 1ull << 30}, {'g', 1ull << 30}}),
+    };
+    const std::string command = "critics_cli cache gc";
+    flags::parseFlags(command, rows, argc, argv,
+                      {"[file]", 0, 1, &words});
+    if (opt.maxAgeSeconds == 0 && opt.maxBytes == 0)
+        critics_fatal(command, ": wants --max-age and/or --max-bytes");
+    const std::string path = words.empty()
+        ? runner::cacheDir() + "/results.jsonl" : words[0];
     const auto stats = runner::gcStore(path, opt);
     if (!stats) {
         std::fprintf(stderr, "cache gc failed for %s\n", path.c_str());
@@ -1326,6 +1030,8 @@ cmdCache(int argc, char **argv)
         return cmdCacheCompact(argc - 1, argv + 1);
     if (action == "gc")
         return cmdCacheGc(argc - 1, argv + 1);
+    flags::parseFlags("critics_cli cache", {}, argc, argv,
+                      {"[stats|path|clear|merge|compact|gc]", 0, 1});
     runner::ResultStore store;
     if (action == "stats") {
         std::uintmax_t bytes = 0;
@@ -1351,7 +1057,8 @@ cmdCache(int argc, char **argv)
                     store.path().c_str());
         return 0;
     }
-    return usage();
+    critics_fatal("critics_cli cache: unknown action '", action,
+                  "' (see critics_cli cache --help)");
 }
 
 // ---------------------------------------------------------------------------
@@ -1389,28 +1096,48 @@ selfExecutable()
     return "critics_cli"; // fall back to execvp's PATH lookup
 }
 
-/** --port / --port-file → a port number; 0 when neither resolves. */
-unsigned short
-resolvePort(const std::string &portArg, const std::string &portFile)
+/** The daemon-address rows: where serve listens and where its
+ *  clients find it. */
+flags::Table
+addressFlags(std::string &host, unsigned short &port,
+             std::string &portFile)
 {
-    if (!portArg.empty())
-        return unsignedFlag<unsigned short>("--port", portArg);
-    if (!portFile.empty()) {
-        std::ifstream in(portFile);
-        std::string text;
-        if (in >> text) {
-            if (const auto port = parseUnsigned(text, 65535))
-                return static_cast<unsigned short>(*port);
-        }
-    }
-    return 0;
+    return {
+        flags::text("--host", "<ip>", "daemon address", host),
+        flags::integer("--port", "<n>", "daemon port (serve: 0 picks one)",
+                       port),
+        flags::text("--port-file", "<file>",
+                    "serve writes its port here, clients read it",
+                    portFile),
+    };
 }
 
-bool
-connectDaemon(serve::ServeClient &client, const std::string &host,
-              const std::string &portArg, const std::string &portFile)
+/** Where a client finds the daemon. */
+struct DaemonAddress
 {
-    const unsigned short port = resolvePort(portArg, portFile);
+    std::string host = "127.0.0.1";
+    unsigned short port = 0;
+    std::string portFile;
+
+    flags::Table
+    rows()
+    {
+        return addressFlags(host, port, portFile);
+    }
+};
+
+bool
+connectDaemon(serve::ServeClient &client, const DaemonAddress &address)
+{
+    unsigned short port = address.port;
+    if (port == 0 && !address.portFile.empty()) {
+        std::ifstream in(address.portFile);
+        std::string text;
+        if (in >> text) {
+            if (const auto parsed = parseUnsigned(text, 65535))
+                port = static_cast<unsigned short>(*parsed);
+        }
+    }
     if (port == 0) {
         std::fprintf(stderr,
                      "need --port <n> or --port-file <f> to find the "
@@ -1418,7 +1145,7 @@ connectDaemon(serve::ServeClient &client, const std::string &host,
         return false;
     }
     std::string error;
-    if (!client.connect(host, port, &error)) {
+    if (!client.connect(address.host, port, &error)) {
         std::fprintf(stderr, "cannot connect: %s\n", error.c_str());
         return false;
     }
@@ -1472,37 +1199,29 @@ cmdServe(int argc, char **argv)
 {
     serve::ServerOptions options;
     std::string traceOut, statsOut;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            options.host = next();
-        } else if (arg == "--port") {
-            options.port = unsignedFlag<unsigned short>(arg, next());
-        } else if (arg == "--port-file") {
-            options.portFile = next();
-        } else if (arg == "--workers") {
-            options.workers = unsignedFlag<unsigned>(arg, next());
-        } else if (arg == "--max-restarts") {
-            options.maxRestarts = unsignedFlag<unsigned>(arg, next());
-        } else if (arg == "--attempts") {
-            options.maxAttempts = unsignedFlag<unsigned>(arg, next());
-        } else if (arg == "--cache-file") {
-            options.cachePath = next();
-        } else if (arg == "--trace-out") {
-            traceOut = next();
-        } else if (arg == "--profile-dir") {
-            options.profileDir = next();
-        } else if (arg == "--stats-out") {
-            statsOut = next();
-        } else {
-            return usage();
-        }
-    }
+    const flags::Table rows = flags::join({
+        addressFlags(options.host, options.port, options.portFile),
+        {
+            flags::integer("--workers", "<n>",
+                           "worker processes per batch (0: in-process)",
+                           options.workers),
+            flags::integer("--max-restarts", "<n>", "respawns per worker",
+                           options.maxRestarts),
+            flags::integer("--attempts", "<n>", "per-job attempt budget",
+                           options.maxAttempts),
+            flags::text("--cache-file", "<file>", "result store path",
+                        options.cachePath),
+            flags::text("--trace-out", "<file>",
+                        "merged Chrome trace of server and worker spans",
+                        traceOut),
+            flags::text("--profile-dir", "<dir>",
+                        "each worker writes a sampling profile here",
+                        options.profileDir),
+            flags::text("--stats-out", "<file>",
+                        "serve.* stats JSON on shutdown", statsOut),
+        },
+    });
+    flags::parseFlags("critics_cli serve", rows, argc, argv);
     options.workerExe = selfExecutable();
 
     stats::TraceEventWriter trace;
@@ -1554,45 +1273,28 @@ cmdServe(int argc, char **argv)
 int
 cmdSubmit(int argc, char **argv)
 {
-    std::string host = "127.0.0.1", portArg, portFile;
+    DaemonAddress address;
     bool noWait = false;
     serve::Request request;
     request.op = serve::Request::Op::Submit;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            host = next();
-        } else if (arg == "--port") {
-            portArg = next();
-        } else if (arg == "--port-file") {
-            portFile = next();
-        } else if (arg == "--apps") {
-            request.submit.apps = next();
-        } else if (arg == "--variants") {
-            request.submit.variants = next();
-        } else if (arg == "--insts") {
-            request.submit.insts =
-                unsignedFlag(arg, next(), program::kMaxTraceInsts);
-        } else if (arg == "--batch") {
-            request.submit.batch = next();
-        } else if (arg == "--refresh") {
-            request.submit.refresh = true;
-        } else if (arg == "--sleep-ms") {
-            request.submit.sleepMs = unsignedFlag(arg, next());
-        } else if (arg == "--no-wait") {
-            noWait = true;
-        } else {
-            return usage();
-        }
-    }
+    serve::SubmitRequest &submit = request.submit;
+    const flags::Table rows = flags::join({
+        address.rows(),
+        sim::gridFlags(submit.apps, submit.variants, submit.insts),
+        {
+            flags::text("--batch", "<name>", "batch name", submit.batch),
+            flags::toggle("--refresh", "ignore cached records",
+                          submit.refresh),
+            flags::integer("--sleep-ms", "<n>", "delay after each job",
+                           submit.sleepMs),
+            flags::toggle("--no-wait", "print the job id and return",
+                          noWait),
+        },
+    });
+    flags::parseFlags("critics_cli submit", rows, argc, argv);
 
     serve::ServeClient client;
-    if (!connectDaemon(client, host, portArg, portFile))
+    if (!connectDaemon(client, address))
         return 1;
     if (!client.sendLine(serve::renderRequest(request)))
         return 1;
@@ -1621,32 +1323,13 @@ cmdSubmit(int argc, char **argv)
 int
 cmdStatus(int argc, char **argv)
 {
-    std::string host = "127.0.0.1", portArg, portFile, jobId;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            host = next();
-        } else if (arg == "--port") {
-            portArg = next();
-        } else if (arg == "--port-file") {
-            portFile = next();
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            jobId = arg;
-        }
-    }
-    if (jobId.empty()) {
-        std::fprintf(stderr, "status wants a job id (serve-<n>)\n");
-        return 2;
-    }
+    DaemonAddress address;
+    std::vector<std::string> words;
+    flags::parseFlags("critics_cli status", address.rows(), argc, argv,
+                      {"<job>", 1, 1, &words});
+    const std::string &jobId = words[0];
     serve::ServeClient client;
-    if (!connectDaemon(client, host, portArg, portFile))
+    if (!connectDaemon(client, address))
         return 1;
     serve::Request request;
     request.op = serve::Request::Op::Status;
@@ -1669,32 +1352,13 @@ cmdStatus(int argc, char **argv)
 int
 cmdWait(int argc, char **argv)
 {
-    std::string host = "127.0.0.1", portArg, portFile, jobId;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            host = next();
-        } else if (arg == "--port") {
-            portArg = next();
-        } else if (arg == "--port-file") {
-            portFile = next();
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            jobId = arg;
-        }
-    }
-    if (jobId.empty()) {
-        std::fprintf(stderr, "wait wants a job id (serve-<n>)\n");
-        return 2;
-    }
+    DaemonAddress address;
+    std::vector<std::string> words;
+    flags::parseFlags("critics_cli wait", address.rows(), argc, argv,
+                      {"<job>", 1, 1, &words});
+    const std::string &jobId = words[0];
     serve::ServeClient client;
-    if (!connectDaemon(client, host, portArg, portFile))
+    if (!connectDaemon(client, address))
         return 1;
     return streamJob(client, jobId);
 }
@@ -1733,35 +1397,23 @@ fmtUs(double us)
 int
 cmdTop(int argc, char **argv)
 {
-    std::string host = "127.0.0.1", portArg, portFile;
+    DaemonAddress address;
     double interval = 2.0;
     bool once = false;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--host") {
-            host = next();
-        } else if (arg == "--port") {
-            portArg = next();
-        } else if (arg == "--port-file") {
-            portFile = next();
-        } else if (arg == "--interval") {
-            interval = nonNegativeFlag(arg, next());
-        } else if (arg == "--once") {
-            once = true;
-        } else {
-            return usage();
-        }
-    }
+    const flags::Table rows = flags::join({
+        address.rows(),
+        {
+            flags::decimal("--interval", "<sec>", "refresh period",
+                           interval),
+            flags::toggle("--once", "print one snapshot and exit", once),
+        },
+    });
+    flags::parseFlags("critics_cli top", rows, argc, argv);
     if (interval <= 0.0)
         interval = 2.0;
 
     serve::ServeClient client;
-    if (!connectDaemon(client, host, portArg, portFile))
+    if (!connectDaemon(client, address))
         return 1;
 
     serve::Request request;
@@ -1796,7 +1448,7 @@ cmdTop(int argc, char **argv)
                     runningBatch = name;
             }
         }
-        std::printf("critics serve @ %s — up %s\n", host.c_str(),
+        std::printf("critics serve @ %s — up %s\n", address.host.c_str(),
                     fmtUs(serveStat(*doc, "uptimeUs")).c_str());
         std::printf("%-16s %8.0f   %-16s %s\n", "queue depth",
                     serveStat(*doc, "queueDepth"), "running batch",
@@ -1845,27 +1497,18 @@ cmdTop(int argc, char **argv)
 int
 cmdProf(int argc, char **argv)
 {
-    if (argc < 1 || std::string(argv[0]) != "report")
-        return usage();
-    std::string path;
     std::size_t topN = 20;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--top") {
-            if (i + 1 >= argc)
-                critics_fatal("--top needs a value");
-            topN = unsignedFlag<std::size_t>(arg, argv[++i]);
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else {
-            path = arg;
-        }
+    std::vector<std::string> words;
+    const flags::Table rows = {
+        flags::integer("--top", "<n>", "symbols to list", topN),
+    };
+    flags::parseFlags("critics_cli prof", rows, argc, argv,
+                      {"report <file>", 2, 2, &words});
+    if (words[0] != "report") {
+        critics_fatal("critics_cli prof: unknown action '", words[0],
+                      "' (see critics_cli prof --help)");
     }
-    if (path.empty()) {
-        std::fprintf(stderr,
-                     "prof report wants a --profile JSON file\n");
-        return 2;
-    }
+    const std::string &path = words[1];
     std::ifstream in(path);
     if (!in) {
         std::fprintf(stderr, "cannot read %s\n", path.c_str());
@@ -1886,44 +1529,36 @@ legacySingleRun(int argc, char **argv)
     std::string statsOut = "stats_single.jsonl";
     std::string traceOut;
     bool json = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                critics_fatal(arg, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--app") {
-            app = next();
-        } else if (arg == "--variant") {
-            variantName = next();
-        } else if (arg == "--insts") {
-            insts = unsignedFlag(arg, next(), program::kMaxTraceInsts);
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--stats-interval") {
-            statsInterval = unsignedFlag(arg, next());
-        } else if (arg == "--stats-out") {
-            statsOut = next();
-        } else if (arg == "--trace-out") {
-            traceOut = next();
-        } else if (arg == "--list") {
-            for (const auto &profile : workload::allApps()) {
-                std::printf("%-12s %-10s %s\n", profile.name.c_str(),
-                            workload::suiteName(profile.suite),
-                            profile.activity.c_str());
-            }
-            return 0;
-        } else {
-            return usage();
+    bool list = false;
+    const flags::Table rows = {
+        flags::text("--app", "<name>", "app to run (see --list)", app),
+        flags::text("--variant", "<name>",
+                    "variant to compare against baseline", variantName),
+        sim::instsFlag(insts),
+        flags::toggle("--json", "print the comparison as JSON", json),
+        flags::integer("--stats-interval", "<n>",
+                       "sample all stats every n insts (0: never)",
+                       statsInterval),
+        flags::text("--stats-out", "<file>", "interval JSONL path",
+                    statsOut),
+        flags::text("--trace-out", "<file>",
+                    "Chrome trace of the pipeline stages", traceOut),
+        flags::toggle("--list", "list registered apps and exit", list),
+    };
+    flags::parseFlags("critics_cli", rows, argc, argv);
+    if (list) {
+        for (const auto &profile : workload::allApps()) {
+            std::printf("%-12s %-10s %s\n", profile.name.c_str(),
+                        workload::suiteName(profile.suite),
+                        profile.activity.c_str());
         }
+        return 0;
     }
 
     sim::ExperimentOptions options;
     options.traceInsts = insts;
     sim::AppExperiment exp(workload::findApp(app), options);
-    const sim::Variant variant = parseVariant(variantName);
+    const sim::Variant variant = sim::parseVariant(variantName);
     const auto &base = exp.baseline();
 
     sim::RunHooks hooks;
@@ -1974,6 +1609,29 @@ legacySingleRun(int argc, char **argv)
     return 0;
 }
 
+struct Command
+{
+    const char *name;
+    const char *summary;
+    int (*main)(int argc, char **argv);
+};
+
+const Command kCommands[] = {
+    {"run", "run an apps x variants sweep", cmdRun},
+    {"bench", "simulator microbench into BENCH_sim.json", cmdBench},
+    {"report", "summarize run manifests", cmdReport},
+    {"cache", "inspect, merge, compact or gc the result store", cmdCache},
+    {"diff", "compare two runs metric by metric", cmdDiff},
+    {"lint", "verify every variant's passes", cmdLint},
+    {"serve", "job-queue daemon with forked workers", cmdServe},
+    {"serve-worker", "one shard of a serve batch", serve::serveWorkerMain},
+    {"submit", "submit a sweep to a daemon", cmdSubmit},
+    {"status", "one-line state of a daemon job", cmdStatus},
+    {"wait", "stream a daemon job's events until done", cmdWait},
+    {"top", "live daemon monitor", cmdTop},
+    {"prof", "pretty-print a --profile report", cmdProf},
+};
+
 } // namespace
 
 int
@@ -1981,40 +1639,25 @@ run(int argc, char **argv)
 {
     setQuiet(true);
     if (argc > 1) {
-        const std::string command = argv[1];
-        if (command == "run")
-            return cmdRun(argc - 2, argv + 2);
-        if (command == "bench")
-            return cmdBench(argc - 2, argv + 2);
-        if (command == "report")
-            return cmdReport(argc - 2, argv + 2);
-        if (command == "cache")
-            return cmdCache(argc - 2, argv + 2);
-        if (command == "diff")
-            return cmdDiff(argc - 2, argv + 2);
-        if (command == "lint")
-            return cmdLint(argc - 2, argv + 2);
-        if (command == "serve")
-            return cmdServe(argc - 2, argv + 2);
-        if (command == "serve-worker")
-            return serve::serveWorkerMain(argc - 2, argv + 2);
-        if (command == "submit")
-            return cmdSubmit(argc - 2, argv + 2);
-        if (command == "status")
-            return cmdStatus(argc - 2, argv + 2);
-        if (command == "wait")
-            return cmdWait(argc - 2, argv + 2);
-        if (command == "top")
-            return cmdTop(argc - 2, argv + 2);
-        if (command == "prof")
-            return cmdProf(argc - 2, argv + 2);
-        if (command == "--help" || command == "-h" ||
-            command == "help") {
-            usage();
-            return 0;
+        const std::string word = argv[1];
+        for (const auto &command : kCommands) {
+            if (word == command.name)
+                return command.main(argc - 2, argv + 2);
+        }
+        if (word == "--help" || word == "-h" || word == "help") {
+            std::printf("critics_cli — experiment orchestrator driver\n\n"
+                        "usage: critics_cli <command> [options]  "
+                        "(critics_cli <command> --help lists them)\n\n"
+                        "commands:\n");
+            for (const auto &command : kCommands)
+                std::printf("  %-14s%s\n", command.name, command.summary);
+            std::printf("\nwithout a command, one app/variant run:\n");
+            char help[] = "--help";
+            char *helpArgv[] = {help};
+            return legacySingleRun(1, helpArgv);
         }
     }
-    return legacySingleRun(argc, argv);
+    return legacySingleRun(argc - 1, argv + 1);
 }
 
 int

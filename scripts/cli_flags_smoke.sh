@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Malformed numeric flags are usage errors: each bad value must exit 2
-# with a one-line diagnostic naming the flag, before anything is
-# simulated (no result store or manifest appears in the cache dir).
+# Malformed numeric flags, unknown flags, missing values and missing
+# positional arguments are usage errors: each must exit 2 with a
+# one-line diagnostic naming the flag, before anything is simulated (no
+# result store or manifest appears in the cache dir).  One accepted
+# case checks that `bench --variants all` resolves like `run`.
 #
 # Usage: scripts/cli_flags_smoke.sh   (after cmake --build build)
 set -euo pipefail
@@ -29,6 +31,25 @@ check() {
     }
 }
 
+# command word, flag, then the full argument list: the line must also
+# name the command.
+check_cmd() {
+    local cmd="$1"; shift
+    check "$@"
+    grep -q -- "critics_cli $cmd" "$WORK/err" || {
+        echo "'${*:2}' did not name the command $cmd:"; cat "$WORK/err"; exit 1
+    }
+}
+
+# The full argument list must exit 0.
+accept() {
+    local rc=0
+    CRITICS_CACHE_DIR="$WORK/cache" "$CLI" "$@" >"$WORK/out" 2>"$WORK/err" || rc=$?
+    if [ "$rc" -ne 0 ]; then
+        echo "'$*' exited $rc, want 0:"; cat "$WORK/out" "$WORK/err"; exit 1
+    fi
+}
+
 check --insts run --apps Acrobat --variants baseline --insts 20000abc
 check --insts run --apps Acrobat --variants baseline --insts -1
 check --insts run --apps Acrobat --variants baseline --insts 99999999999999999999
@@ -40,6 +61,13 @@ check --max-age cache gc --max-age 99999999999999999d
 check --max-bytes cache gc --max-bytes 12X
 check --rel diff a.json b.json --rel nan
 check --insts --app Acrobat --variant baseline --insts +5
+check --insts run --apps Acrobat --variants baseline --insts 0
+check --insts --app Acrobat --variant baseline --insts 0
+check_cmd run --bogus run --bogus
+check_cmd run --apps run --apps
+check_cmd status '<job>' status
+
+accept bench --quick --reps 1 --insts 20000 --variants all --out "$WORK/b.json"
 
 if [ -e "$WORK/cache/results.jsonl" ] || [ -d "$WORK/cache/manifests" ]; then
     echo "a rejected flag still reached the runner:"; ls -R "$WORK/cache"

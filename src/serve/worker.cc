@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -13,11 +12,11 @@
 #include "obs/obs.hh"
 #include "obs/profiler.hh"
 #include "obs/span.hh"
-#include "program/trace.hh"
 #include "runner/orchestrator.hh"
 #include "serve/protocol.hh"
 #include "sim/variants.hh"
-#include "support/parse.hh"
+#include "support/flags.hh"
+#include "support/logging.hh"
 
 namespace critics::serve
 {
@@ -62,74 +61,46 @@ serveWorkerMain(int argc, char **argv)
     std::uint64_t sleepMs = 0;
     std::string traceId, profilePath;
 
-    auto bad = [](const std::string &what) {
-        std::fprintf(stderr, "serve-worker: %s\n", what.c_str());
-        return 2;
-    };
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *value = nullptr;
-        if (arg == "--refresh") {
-            refresh = true;
-        } else if ((value = next()) == nullptr) {
-            return bad(arg + " needs a value");
-        } else if (arg == "--batch") {
-            batch = value;
-        } else if (arg == "--apps") {
-            appsArg = value;
-        } else if (arg == "--variants") {
-            variantsArg = value;
-        } else if (arg == "--insts") {
-            const auto parsed =
-                parseUnsigned(value, program::kMaxTraceInsts);
-            if (!parsed)
-                return bad("bad --insts '" + std::string(value) + "'");
-            insts = *parsed;
-        } else if (arg == "--store") {
-            storePath = value;
-        } else if (arg == "--hashes") {
-            hashesPath = value;
-        } else if (arg == "--attempts") {
-            const auto parsed =
-                parseUnsigned(value, std::numeric_limits<unsigned>::max());
-            if (!parsed)
-                return bad("bad --attempts '" + std::string(value) + "'");
-            maxAttempts = static_cast<unsigned>(*parsed);
-        } else if (arg == "--sleep-ms") {
-            const auto parsed = parseUnsigned(value);
-            if (!parsed)
-                return bad("bad --sleep-ms '" + std::string(value) + "'");
-            sleepMs = *parsed;
-        } else if (arg == "--trace-id") {
-            traceId = value;
-        } else if (arg == "--profile") {
-            profilePath = value;
-        } else {
-            return bad("unknown argument '" + arg + "'");
-        }
-    }
+    const flags::Table rows = flags::join({
+        sim::gridFlags(appsArg, variantsArg, insts),
+        {
+            flags::text("--batch", "<name>", "manifest name", batch),
+            flags::text("--store", "<file>", "shard result store",
+                        storePath),
+            flags::text("--hashes", "<file>",
+                        "job hashes this shard owns, one per line",
+                        hashesPath),
+            flags::integer("--attempts", "<n>", "per-job attempt budget",
+                           maxAttempts),
+            flags::toggle("--refresh", "ignore cached records",
+                          refresh),
+            flags::integer("--sleep-ms", "<n>",
+                           "delay after each simulated job", sleepMs),
+            flags::text("--trace-id", "<id>",
+                        "stream stage spans under this trace id",
+                        traceId),
+            flags::text("--profile", "<file>",
+                        "write a sampling profile here", profilePath),
+        },
+    });
+    const char *command = "critics_cli serve-worker";
+    flags::parseFlags(command, rows, argc, argv);
     if (appsArg.empty() || variantsArg.empty() || storePath.empty() ||
         hashesPath.empty()) {
-        return bad("--apps, --variants, --store and --hashes are "
-                   "required");
+        critics_fatal(command, ": --apps, --variants, --store and "
+                      "--hashes are required");
     }
-
-    std::string error;
-    const auto apps = sim::tryParseApps(appsArg, &error);
-    if (!apps)
-        return bad(error);
-    const auto variants = sim::tryParseVariants(variantsArg, &error);
-    if (!variants)
-        return bad(error);
+    const auto apps = sim::parseApps(appsArg);
+    const auto variants = sim::parseVariants(variantsArg);
 
     std::unordered_set<std::string> owned;
     {
         std::ifstream in(hashesPath);
-        if (!in)
-            return bad("cannot read hash file " + hashesPath);
+        if (!in) {
+            std::fprintf(stderr, "serve-worker: cannot read hash file %s\n",
+                         hashesPath.c_str());
+            return 2;
+        }
         std::string line;
         while (std::getline(in, line)) {
             if (!line.empty())
@@ -140,7 +111,7 @@ serveWorkerMain(int argc, char **argv)
     sim::ExperimentOptions expOptions;
     expOptions.traceInsts = insts;
     std::vector<runner::JobSpec> jobs;
-    for (auto &spec : runner::makeGrid(*apps, *variants, expOptions)) {
+    for (auto &spec : runner::makeGrid(apps, variants, expOptions)) {
         if (owned.count(spec.hashHex()) > 0)
             jobs.push_back(std::move(spec));
     }

@@ -25,9 +25,11 @@ namespace critics::serve
  * `argv` holds the arguments after the `serve-worker` word:
  * --batch <name> --apps <list> --variants <list> --insts <n>
  * --store <shard.jsonl> --hashes <file> [--attempts <n>] [--refresh]
- * [--sleep-ms <n>].  Returns the process exit code: 0 when the shard
- * was fully accounted for (failed jobs are event records, not worker
- * failures), 2 on bad arguments.
+ * [--sleep-ms <n>] [--trace-id <id>] [--profile <file>].  Returns the
+ * process exit code: 0 when the shard was fully accounted for (failed
+ * jobs are event records, not worker failures), 2 when the hash file
+ * is unreadable.  A malformed or missing argument is a usage error
+ * (critics_fatal), which critics_cli reports and exits 2 on.
  */
 int serveWorkerMain(int argc, char **argv);
 

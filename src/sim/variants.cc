@@ -1,10 +1,15 @@
 #include "sim/variants.hh"
 
+#include "program/trace.hh"
 #include "support/logging.hh"
 
 namespace critics::sim
 {
 
+namespace
+{
+
+/** Split a comma list, dropping empty items ("a,,b" → {a, b}). */
 std::vector<std::string>
 splitList(const std::string &text)
 {
@@ -23,6 +28,8 @@ splitList(const std::string &text)
         out.push_back(current);
     return out;
 }
+
+} // namespace
 
 const std::vector<std::string> &
 allVariantNames()
@@ -175,6 +182,39 @@ parseVariants(const std::string &value)
     if (!variants)
         critics_fatal("--variants: ", error);
     return *variants;
+}
+
+flags::Flag
+instsFlag(std::uint64_t &insts)
+{
+    return flags::integer("--insts", "<n>",
+                          "dynamic instructions per app", insts, 1,
+                          program::kMaxTraceInsts);
+}
+
+flags::Table
+gridFlags(std::string &apps, std::string &variants, std::uint64_t &insts)
+{
+    std::string variantNames;
+    for (const auto &name : allVariantNames())
+        variantNames += (variantNames.empty() ? "" : "|") + name;
+    return {
+        {"--apps", "<list>",
+         "comma list of apps, or mobile|specint|specfloat|all",
+         [&apps](const std::string &value) {
+             parseApps(value);
+             apps = value;
+         },
+         apps},
+        {"--variants", "<list>",
+         "comma list of " + variantNames + ", or all",
+         [&variants](const std::string &value) {
+             parseVariants(value);
+             variants = value;
+         },
+         variants},
+        instsFlag(insts),
+    };
 }
 
 } // namespace critics::sim

@@ -15,13 +15,11 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "support/flags.hh"
 #include "workload/profile.hh"
 
 namespace critics::sim
 {
-
-/** Split a comma list, dropping empty items ("a,,b" → {a, b}). */
-std::vector<std::string> splitList(const std::string &text);
 
 /** Every registered variant name, in presentation order. */
 const std::vector<std::string> &allVariantNames();
@@ -46,6 +44,16 @@ tryParseVariants(const std::string &value, std::string *error = nullptr);
 /** Fatal counterparts for CLI input. */
 std::vector<workload::AppProfile> parseApps(const std::string &value);
 std::vector<Variant> parseVariants(const std::string &value);
+
+/** The --insts row: dynamic instructions per app, in
+ *  [1, program::kMaxTraceInsts] as in the serve protocol. */
+flags::Flag instsFlag(std::uint64_t &insts);
+
+/** The grid rows --apps, --variants and --insts.  --apps and
+ *  --variants are checked through parseApps/parseVariants when given
+ *  and stored as text, which callers resolve the same way. */
+flags::Table gridFlags(std::string &apps, std::string &variants,
+                       std::uint64_t &insts);
 
 } // namespace critics::sim
 

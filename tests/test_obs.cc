@@ -10,6 +10,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <cmath>
@@ -330,16 +331,26 @@ TEST(ObsStitch, WorkerSpanLinesLandOnPerPidTracks)
 // Sampling profiler.  Named ObsProfiler* so the TSan CI lane can
 // filter it (signal-driven sampling and TSan interceptors disagree).
 
-/** Burn roughly `ms` of CPU time (not wall time). */
+/** Process CPU time in seconds: the clock ITIMER_PROF samples. */
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) / 1e9;
+}
+
+/** Burn `seconds` of process CPU time, however long that takes on the
+ *  wall clock under load. */
 volatile double gProfilerSinkhole = 0.0;
 void
 burnCpu(double seconds, obs::Stage stage)
 {
     obs::StageScope scope(stage);
-    const std::uint64_t start = obs::monotonicMicros();
-    const auto budget = static_cast<std::uint64_t>(seconds * 1e6);
+    const double start = processCpuSeconds();
     double x = 1.0;
-    while (obs::monotonicMicros() - start < budget) {
+    while (processCpuSeconds() - start < seconds) {
         for (int i = 0; i < 1000; ++i)
             x = x * 1.000001 + 0.5;
         gProfilerSinkhole = x;

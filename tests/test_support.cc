@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for histograms, summaries, CDFs, logging, strict number
- * parsing and the table renderer.
+ * parsing, command-line flag tables and the table renderer.
  */
 
 #include <gtest/gtest.h>
 
+#include "program/trace.hh"
+#include "sim/variants.hh"
+#include "support/flags.hh"
 #include "support/histogram.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -15,6 +18,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 using namespace critics;
 
@@ -292,4 +298,231 @@ TEST(ParseNonNegative, FiniteAndNotNegative)
         EXPECT_FALSE(parseNonNegative(text).has_value()) << "'" << text
                                                          << "'";
     }
+}
+
+namespace
+{
+
+/** parseFlags over `words`, the arguments after the command words. */
+flags::Parsed
+parseWords(const flags::Table &rows, std::vector<std::string> words,
+           const flags::Positionals &positionals = {})
+{
+    std::vector<char *> argv;
+    for (auto &word : words)
+        argv.push_back(word.data());
+    return flags::parseFlags("tool cmd", rows,
+                             static_cast<int>(argv.size()), argv.data(),
+                             positionals);
+}
+
+/** The usage error parsing `words` raises; "" when it parses. */
+std::string
+usageError(const flags::Table &rows, std::vector<std::string> words,
+           const flags::Positionals &positionals = {})
+{
+    try {
+        parseWords(rows, std::move(words), positionals);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+bool
+contains(const std::string &text, const std::string &part)
+{
+    return text.find(part) != std::string::npos;
+}
+
+} // namespace
+
+TEST(Flags, IntegerTakesItsRangeOnly)
+{
+    unsigned n = 7;
+    const flags::Table rows = {
+        flags::integer("--n", "<n>", "count", n, 1, 10),
+    };
+    parseWords(rows, {"--n", "10"});
+    EXPECT_EQ(n, 10u);
+    parseWords(rows, {"--n", "1"});
+    EXPECT_EQ(n, 1u);
+    for (const char *bad : {"0", "11", "", "-1", "+1", "5x", "0x5",
+                            "99999999999999999999"}) {
+        const std::string error = usageError(rows, {"--n", bad});
+        EXPECT_TRUE(contains(error, "tool cmd: --n wants an integer in "
+                                    "[1, 10], got '" +
+                                        std::string(bad) + "'"))
+            << error;
+    }
+    EXPECT_EQ(n, 1u);
+}
+
+TEST(Flags, IntegerDefaultsToTheRangeOfItsType)
+{
+    unsigned short port = 0;
+    const flags::Table rows = {
+        flags::integer("--port", "<n>", "port", port),
+    };
+    parseWords(rows, {"--port", "65535"});
+    EXPECT_EQ(port, 65535u);
+    EXPECT_TRUE(contains(usageError(rows, {"--port", "65536"}),
+                         "--port wants an integer in [0, 65535]"));
+}
+
+TEST(Flags, DecimalRejectsNegativeAndJunk)
+{
+    double x = 2.0;
+    const flags::Table rows = {
+        flags::decimal("--rel", "<frac>", "threshold", x),
+    };
+    parseWords(rows, {"--rel", "0.5"});
+    EXPECT_EQ(x, 0.5);
+    parseWords(rows, {"--rel", "0"});
+    EXPECT_EQ(x, 0.0);
+    for (const char *bad : {"-0.5", "nan", "inf", "1x", "", "1e999"}) {
+        EXPECT_TRUE(contains(usageError(rows, {"--rel", bad}),
+                             "tool cmd: --rel wants a non-negative "
+                             "number"))
+            << bad;
+    }
+    EXPECT_EQ(x, 0.0);
+}
+
+TEST(Flags, ScaledAppliesItsUnitsAndRejectsOverflow)
+{
+    std::uint64_t bytes = 0;
+    const flags::Table rows = {
+        flags::scaled("--max-bytes", "<n>", "size", bytes,
+                      {{'K', 1ull << 10}, {'M', 1ull << 20}}),
+    };
+    parseWords(rows, {"--max-bytes", "512"});
+    EXPECT_EQ(bytes, 512u);
+    parseWords(rows, {"--max-bytes", "2K"});
+    EXPECT_EQ(bytes, 2048u);
+    parseWords(rows, {"--max-bytes", "3M"});
+    EXPECT_EQ(bytes, 3u << 20);
+    // 2^54 K is 2^64 bytes: one past the range.
+    parseWords(rows, {"--max-bytes", "18014398509481983K"});
+    EXPECT_EQ(bytes, 18014398509481983ull << 10);
+    for (const char *bad : {"12X", "K", "", "-1K", "1KK",
+                            "18014398509481984K"}) {
+        EXPECT_TRUE(contains(usageError(rows, {"--max-bytes", bad}),
+                             "tool cmd: --max-bytes wants an integer "
+                             "with an optional unit"))
+            << bad;
+    }
+}
+
+TEST(Flags, TextToggleAndCallbackStoreWhatTheyAreGiven)
+{
+    std::string name = "x";
+    bool on = false;
+    std::string seen;
+    const flags::Table rows = {
+        flags::text("--name", "<s>", "a name", name),
+        flags::toggle("--on", "a switch", on),
+        flags::callback("--cb", "<v>", "an action",
+                        [&seen](const std::string &v) { seen = v; }),
+    };
+    // A value is the next argument verbatim, even when it is empty or
+    // looks like a flag.
+    const auto parsed =
+        parseWords(rows, {"--on", "--name", "", "--cb", "--on"});
+    EXPECT_EQ(name, "");
+    EXPECT_TRUE(on);
+    EXPECT_EQ(seen, "--on");
+    EXPECT_TRUE(parsed.has("--on"));
+    EXPECT_TRUE(parsed.has("--name"));
+    EXPECT_TRUE(parsed.has("--cb"));
+    EXPECT_FALSE(parsed.has("--other"));
+}
+
+TEST(Flags, UnknownFlagAndMissingValueNameTheCommandAndFlag)
+{
+    std::string name;
+    const flags::Table rows = {
+        flags::text("--name", "<s>", "a name", name),
+    };
+    EXPECT_EQ(usageError(rows, {"--bogus"}),
+              "tool cmd: unknown flag '--bogus' (see tool cmd --help)");
+    EXPECT_EQ(usageError(rows, {"-n"}),
+              "tool cmd: unknown flag '-n' (see tool cmd --help)");
+    EXPECT_EQ(usageError(rows, {"--name"}),
+              "tool cmd: --name needs a value <s>");
+}
+
+TEST(Flags, PositionalArityIsChecked)
+{
+    std::vector<std::string> words;
+    const flags::Positionals two{"<a> <b>", 2, 2, &words};
+    parseWords({}, {"x", "y"}, two);
+    EXPECT_EQ(words, (std::vector<std::string>{"x", "y"}));
+    EXPECT_EQ(usageError({}, {"x"}, two),
+              "tool cmd: wants <a> <b>, got 1 argument(s)");
+    EXPECT_EQ(usageError({}, {"x", "y", "z"}, two),
+              "tool cmd: unexpected argument 'z' (see tool cmd --help)");
+    EXPECT_EQ(usageError({}, {"x"}),
+              "tool cmd: unexpected argument 'x' (see tool cmd --help)");
+}
+
+TEST(Flags, HelpListsEveryRowWithItsDefault)
+{
+    std::uint64_t n = 42;
+    std::string out = "a.json";
+    bool quick = false;
+    const flags::Table rows = {
+        flags::integer("--n", "<n>", "how many", n),
+        flags::text("--out", "<file>", "where", out),
+        flags::toggle("--quick", "small", quick),
+    };
+    const std::string help =
+        flags::usageText("tool cmd", rows, {"<file>", 1, 1});
+    EXPECT_TRUE(contains(help, "usage: tool cmd [options] <file>\n"))
+        << help;
+    EXPECT_TRUE(contains(help, "  --n <n>       how many (default 42)\n"))
+        << help;
+    EXPECT_TRUE(contains(help, "  --out <file>  where (default a.json)\n"))
+        << help;
+    EXPECT_TRUE(contains(help, "  --quick       small\n")) << help;
+    EXPECT_TRUE(contains(help, "  --help        print this help\n"))
+        << help;
+
+    // --help wins over every other argument, bad ones included: it
+    // prints the text and exits 0.
+    EXPECT_EXIT(parseWords(rows, {"--n", "oops", "--help", "--bogus"},
+                           {"<file>", 1, 1}),
+                ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Flags, GridRowsResolveThroughTheSharedVocabulary)
+{
+    std::string apps = "mobile";
+    std::string variants = "baseline";
+    std::uint64_t insts = 400000;
+    const flags::Table rows = sim::gridFlags(apps, variants, insts);
+    const std::string maxInsts = std::to_string(program::kMaxTraceInsts);
+    parseWords(rows, {"--variants", "all", "--apps", "Acrobat,Office",
+                      "--insts", maxInsts});
+    EXPECT_EQ(variants, "all");
+    EXPECT_EQ(sim::parseVariants(variants).size(),
+              sim::allVariantNames().size());
+    EXPECT_EQ(apps, "Acrobat,Office");
+    EXPECT_EQ(insts, program::kMaxTraceInsts);
+
+    // --insts takes the serve protocol's range: 0 would give an empty
+    // trace.
+    EXPECT_TRUE(contains(usageError(rows, {"--insts", "0"}),
+                         "tool cmd: --insts wants an integer in [1, " +
+                             maxInsts + "]"));
+    EXPECT_FALSE(
+        usageError(rows, {"--insts",
+                          std::to_string(program::kMaxTraceInsts + 1)})
+            .empty());
+    EXPECT_EQ(usageError(rows, {"--apps", "NoSuchApp"}),
+              "tool cmd: --apps: unknown app 'NoSuchApp'");
+    EXPECT_EQ(usageError(rows, {"--variants", "baseline,bogus"}),
+              "tool cmd: --variants: unknown variant 'bogus'");
+    EXPECT_EQ(apps, "Acrobat,Office");
+    EXPECT_EQ(variants, "all");
 }
